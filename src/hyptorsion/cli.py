@@ -15,21 +15,17 @@ Subcommands:
 
 Exit codes: 0 success, 1 usage error, 2 mathematical falsification (a
 theorem-violation path fired).  All numeric output is exact; JSON fields
-are integers or exact strings, never floats.  ``--threads`` (or the
-HYPTORSION_THREADS environment variable) caps parallel maps without
-changing any output; ``--cache-dir`` persists the division-polynomial
-recursion between runs.
+are integers or exact strings, never floats.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
-from .curve import HyperellipticModel, integral_model, model_from_text
-from .divpoly import cantor_P, delta, s_sequence
+from .curve import HyperellipticModel, model_from_text
+from .divpoly import cantor_P, delta
 from .errors import TheoremViolation, UsageError
 from .exactnum import FieldElement, QQ, make_extension, prime_field
 from .jacobian import verify_utilde
@@ -48,10 +44,6 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    common.add_argument(
-        "--threads", type=int, default=None, help="parallelism cap (default: HYPTORSION_THREADS or 1)"
-    )
-    common.add_argument("--cache-dir", default=None, help="directory for memoized recursion state")
 
     top = _Parser(
         prog="hyptorsion", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
@@ -99,7 +91,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--char", type=int, default=0, help="must be 0: the scan reduces an integral model")
     p.add_argument("--n-from", type=int, required=True)
     p.add_argument("--n-to", type=int, required=True)
-    p.add_argument("--primes", required=True, help="comma-separated witness primes")
+    p.add_argument("--primes", type=_int_list, required=True, help="comma-separated witness primes")
     p.add_argument("--no-followup", action="store_true", help="skip characteristic-zero follow-up on candidates")
 
     p = sub.add_parser("char-search", help="exceptional characteristics at one level", parents=[common])
@@ -109,11 +101,18 @@ def _build_parser() -> _Parser:
     return top
 
 
+def _int_list(text: str) -> list[int]:
+    try:
+        return [int(t) for t in text.split(",") if t.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+
+
 def _load_model(path: str) -> HyperellipticModel:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return model_from_text(fh.read())
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise UsageError(f"cannot read curve file: {e}") from e
 
 
@@ -161,11 +160,8 @@ def run(argv=None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("HYPTORSION_THREADS", "1") or "1")
     try:
-        return _dispatch(args, max(threads, 1))
+        return _dispatch(args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
@@ -174,16 +170,12 @@ def run(argv=None) -> int:
         return 2
 
 
-def _dispatch(args, threads: int) -> int:
+def _dispatch(args) -> int:
     cmd = args.command
     if cmd == "divpoly":
         model = _load_model(args.curve)
         char = _target_char(model, args.char)
-        if args.cache_dir:
-            _preload_cache(model, args.cache_dir)
         f = delta(model, args.N, char) if args.sub == "delta" else cantor_P(model, args.N, char)
-        if args.cache_dir:
-            _persist_cache(model, args.cache_dir)
         _emit(args, _poly_json(f, char, args.N), str(f))
         return 0
 
@@ -203,17 +195,13 @@ def _dispatch(args, threads: int) -> int:
             return 0
         model = _load_model(args.curve)
         char = _target_char(model, args.char)
-        if args.cache_dir:
-            _preload_cache(model, args.cache_dir)
         if args.sub == "utilde":
-            locus = utilde(model, args.N, char, threads=threads)
+            locus = utilde(model, args.N, char)
             payload = _poly_json(locus.utilde, char, args.N)
             payload["note"] = locus.note
             payload["leftmost_subdet_vanished"] = locus.all_subdets_zero_before
             human = str(locus.utilde) + (f"   # {locus.note}" if locus.note else "")
             _emit(args, payload, human)
-            if args.cache_dir:
-                _persist_cache(model, args.cache_dir)
             return 0
         if args.sub == "count":
             n = count_tilde(model, args.N, char)
@@ -272,13 +260,11 @@ def _dispatch(args, threads: int) -> int:
         model = _load_model(args.curve)
         if model.field.char != 0:
             raise UsageError("scan needs a characteristic-zero integral model")
-        primes = [int(t) for t in args.primes.split(",") if t.strip()]
         verdicts = reduction_scan(
             model,
             range(args.n_from, args.n_to + 1),
-            primes,
+            args.primes,
             compute_char0_followup=not args.no_followup,
-            threads=threads,
         )
         payload = {
             "verdicts": [
@@ -323,19 +309,6 @@ def _dispatch(args, threads: int) -> int:
         return 0
 
     raise UsageError(f"unknown command {cmd!r}")
-
-
-def _preload_cache(model: HyperellipticModel, cache_dir: str) -> None:
-    if not os.path.isdir(cache_dir):
-        return
-    m = integral_model(model)
-    s_sequence(m, m.g + 1).load(cache_dir)
-
-
-def _persist_cache(model: HyperellipticModel, cache_dir: str) -> None:
-    os.makedirs(cache_dir, exist_ok=True)
-    m = integral_model(model)
-    s_sequence(m, m.g + 1).save(cache_dir)
 
 
 def main() -> None:

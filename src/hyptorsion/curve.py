@@ -161,8 +161,7 @@ def resolve_char(model: HyperellipticModel, char: int | None) -> int:
 
 
 def model_from_text(text: str) -> HyperellipticModel:
-    char = None
-    pline = qline = None
+    cline = pline = qline = None
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -170,23 +169,23 @@ def model_from_text(text: str) -> HyperellipticModel:
         key, _, value = line.partition(":")
         key = key.strip().lower()
         if key == "char":
-            char = int(value)
+            cline = value
         elif key == "p":
             pline = value.strip()
         elif key == "q":
             qline = value.strip()
         else:
             raise UsageError(f"unknown curve-file key {key!r}")
-    if char is None or pline is None or qline is None:
+    if cline is None or pline is None or qline is None:
         raise UsageError("curve file needs char:, P: and Q: lines")
+    try:
+        char = int(cline)
+        pcs = [int(t) for t in pline.split(",")]
+        qcs = [int(t) for t in qline.split(",")] if qline else []
+    except ValueError as e:
+        raise UsageError(f"curve file: {e}") from e
     field = QQ if char == 0 else prime_field(char)
-    if char == 0:
-        P = Poly.of_ints(QQ, [int(t) for t in pline.split(",")])
-        Q = Poly.of_ints(QQ, [int(t) for t in qline.split(",")]) if qline else Poly.zero(QQ)
-    else:
-        P = Poly.of_ints(field, [int(t) for t in pline.split(",")])
-        Q = Poly.of_ints(field, [int(t) for t in qline.split(",")]) if qline else Poly.zero(field)
-    return new_model(field, P, Q)
+    return new_model(field, Poly.of_ints(field, pcs), Poly.of_ints(field, qcs))
 
 
 def model_to_text(model: HyperellipticModel) -> str:

@@ -28,10 +28,7 @@ reduction commutes with every construction here).
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
-import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
@@ -110,7 +107,6 @@ class SSequence:
         self._R = [Poly.one(ZZ)]
         self._s: dict[int, Poly] = {}
         self._F_pows = [Poly.one(ZZ)]
-        self._lock = threading.Lock()  # guards the growing lists under parallel maps
 
     @property
     def g(self) -> int:
@@ -121,13 +117,10 @@ class SSequence:
         return len(self._R) - 1
 
     def ensure(self, n_max: int) -> None:
-        if self.n_max >= n_max:
-            return
-        with self._lock:
-            while self.n_max < n_max:
-                n = self.n_max
-                Rn = self._R[-1]
-                self._R.append(Rn.deriv() * self.FZ * 2 + Rn.scale(1 - 2 * n) * self._FdZ)
+        while self.n_max < n_max:
+            n = self.n_max
+            Rn = self._R[-1]
+            self._R.append(Rn.deriv() * self.FZ * 2 + Rn.scale(1 - 2 * n) * self._FdZ)
 
     def s(self, n: int) -> Poly:
         """s_n over ZZ, defined for n > g."""
@@ -152,10 +145,8 @@ class SSequence:
         return out
 
     def F_power(self, e: int) -> Poly:
-        if len(self._F_pows) <= e:
-            with self._lock:
-                while len(self._F_pows) <= e:
-                    self._F_pows.append(self._F_pows[-1] * self.FZ)
+        while len(self._F_pows) <= e:
+            self._F_pows.append(self._F_pows[-1] * self.FZ)
         return self._F_pows[e]
 
     def s_entry(self, i: int, m: int) -> Poly:
@@ -172,39 +163,9 @@ class SSequence:
             acc = acc + term
         return acc
 
-    # -- optional disk cache (keyed by the model, holds the raw recursion) ----
 
-    def cache_key(self) -> str:
-        text = self.PZ.to_csv() + "|" + self.QZ.to_csv()
-        return hashlib.sha256(text.encode()).hexdigest()[:24]
-
-    def save(self, cache_dir: str) -> None:
-        path = os.path.join(cache_dir, f"sseq-{self.cache_key()}.json")
-        data = {
-            "P": self.PZ.to_csv(),
-            "Q": self.QZ.to_csv(),
-            "R": [[str(c) for c in R.cs] for R in self._R],
-        }
-        tmp = path + ".tmp"
-        with open(tmp, "w") as fh:
-            json.dump(data, fh)
-        os.replace(tmp, path)
-
-    def load(self, cache_dir: str) -> bool:
-        path = os.path.join(cache_dir, f"sseq-{self.cache_key()}.json")
-        if not os.path.exists(path):
-            return False
-        with open(path) as fh:
-            data = json.load(fh)
-        if data.get("P") != self.PZ.to_csv() or data.get("Q") != self.QZ.to_csv():
-            return False
-        loaded = [Poly(ZZ, [int(c) for c in row]) for row in data["R"]]
-        if len(loaded) > len(self._R):
-            self._R = loaded
-        return True
-
-
-_SEQ_CACHE: dict[HyperellipticModel, SSequence] = {}
+_SEQ_CACHE_MAX = 32  # models kept; the least recently used one is evicted
+_SEQ_CACHE: OrderedDict[HyperellipticModel, SSequence] = OrderedDict()
 
 
 def s_sequence(model: HyperellipticModel, n_max: int) -> SSequence:
@@ -216,12 +177,12 @@ def s_sequence(model: HyperellipticModel, n_max: int) -> SSequence:
     if seq is None:
         seq = SSequence(model)
         _SEQ_CACHE[model] = seq
+        if len(_SEQ_CACHE) > _SEQ_CACHE_MAX:
+            _SEQ_CACHE.popitem(last=False)
+    else:
+        _SEQ_CACHE.move_to_end(model)
     seq.ensure(n_max)
     return seq
-
-
-def _target_domain(char: int):
-    return ZZ if char == 0 else prime_field(char)
 
 
 def _reduced(f: Poly, char: int) -> Poly:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import gcd, isqrt
 
 from .errors import UsageError
 
@@ -32,6 +32,7 @@ __all__ = [
     "frobenius",
     "sqrt_in_field",
     "is_prime",
+    "factor_integer",
 ]
 
 
@@ -63,6 +64,86 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# integer factoring: trial division plus a Brent-Pollard rho stage
+
+
+def _rho_brent(n: int) -> int:
+    """A nontrivial factor of composite odd n, deterministic parameter sweep."""
+    if n % 2 == 0:
+        return 2
+    for c in range(1, 64):
+        y, r, q = 2, 1, 1
+        m = 128
+        g_, x, ys = 1, 0, 0
+        while g_ == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g_ == 1:
+                ys = y
+                for _ in range(min(m, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g_ = gcd(q, n)
+                k += m
+            r *= 2
+        if g_ == n:
+            g_ = 1
+            while g_ == 1:
+                ys = (ys * ys + c) % n
+                g_ = gcd(abs(x - ys), n)
+        if g_ != n:
+            return g_
+    raise ArithmeticError(f"rho failed to split {n}")
+
+
+_RHO_LIMIT = 1 << 84  # beyond this, rho may never finish; report the cofactor
+
+
+def factor_integer(n: int, trial_bound: int = 10**6, rho: bool = True):
+    """(prime factor multiplicities, unfactored cofactor >= 1).
+
+    Trial division up to ``trial_bound``; remaining composites below a size
+    cap are split by Pollard rho.  Anything still composite and unsplit is
+    returned as the cofactor rather than silently dropped.
+    """
+    if n < 0:
+        n = -n
+    factors: dict[int, int] = {}
+    if n in (0, 1):
+        return factors, n if n else 0
+    d = 2
+    while d <= trial_bound and d * d <= n:
+        while n % d == 0:
+            factors[d] = factors.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    if n > 1 and d * d > n:
+        factors[n] = factors.get(n, 0) + 1
+        n = 1
+    stack = [n] if n > 1 else []
+    cofactor = 1
+    while stack:
+        m = stack.pop()
+        if m == 1:
+            continue
+        if is_prime(m):
+            factors[m] = factors.get(m, 0) + 1
+            continue
+        if not rho or m > _RHO_LIMIT:
+            cofactor *= m
+            continue
+        try:
+            f = _rho_brent(m)
+        except ArithmeticError:
+            cofactor *= m
+            continue
+        stack.extend((f, m // f))
+    return factors, cofactor
 
 
 # ---------------------------------------------------------------------------
@@ -125,18 +206,7 @@ def _is_irreducible(m: list[int], p: int) -> bool:
     x = [0, 1]
     if _ppowmod(x, p**k, m, p) != x:
         return False
-    kk = k
-    primes = []
-    d = 2
-    while d * d <= kk:
-        if kk % d == 0:
-            primes.append(d)
-            while kk % d == 0:
-                kk //= d
-        d += 1
-    if kk > 1:
-        primes.append(kk)
-    for ell in primes:
+    for ell in factor_integer(k)[0]:
         w = _ppowmod(x, p ** (k // ell), m, p)
         diff = _pnorm([(wi - xi) for wi, xi in zip(w + [0] * 2, x + [0] * len(w))], p)
         if len(_pgcd(diff, m, p)) != 1:
@@ -344,19 +414,24 @@ class FieldSpec:
 
     def parse(self, text: str):
         text = text.strip()
-        if self.kind == "rationals":
-            if "/" in text:
-                n, d = text.split("/")
-                return Fraction(int(n), int(d))
-            return Fraction(int(text))
-        if self.kind == "prime":
-            if "mod" in text:
-                r, m = text.split("mod")
-                if int(m) != self.p:
-                    raise UsageError(f"element is mod {m.strip()}, field is mod {self.p}")
-                return int(r) % self.p
-            return int(text) % self.p
-        parts = [int(t) % self.p for t in text.split(",")]
+        try:
+            if self.kind == "rationals":
+                if "/" in text:
+                    n, d = text.split("/")
+                    return Fraction(int(n), int(d))
+                return Fraction(int(text))
+            if self.kind == "prime":
+                if "mod" in text:
+                    r, m = text.split("mod")
+                    if int(m) != self.p:
+                        raise UsageError(f"element is mod {m.strip()}, field is mod {self.p}")
+                    return int(r) % self.p
+                return int(text) % self.p
+            parts = [int(t) % self.p for t in text.split(",")]
+        except UsageError:
+            raise
+        except (ValueError, ZeroDivisionError) as e:
+            raise UsageError(f"cannot parse field element {text!r}: {e}") from e
         if len(parts) > self.k:
             raise UsageError(f"too many coefficients for GF({self.p}^{self.k})")
         parts += [0] * (self.k - len(parts))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .curve import HyperellipticModel, integral_model, reduce_mod_p, resolve_char
 from .errors import TheoremViolation, UsageError
-from .exactnum import FieldElement, FieldSpec, QQ, make_extension, solve_quadratic
+from .exactnum import FieldElement, FieldSpec, QQ, factor_integer, make_extension, solve_quadratic
 from .poly import Poly, exact_div, rational_roots, roots_by_degree, subfield_embedding
 
 __all__ = [
@@ -171,17 +171,7 @@ def has_exact_order(D: MumfordDivisor, n: int) -> bool:
     """True when n D = 0 and (n/q) D != 0 for every prime q | n."""
     if not scalar_mul(D, n).is_identity:
         return False
-    m, q = n, 2
-    primes = []
-    while q * q <= m:
-        if m % q == 0:
-            primes.append(q)
-            while m % q == 0:
-                m //= q
-        q += 1
-    if m > 1:
-        primes.append(m)
-    return all(not scalar_mul(D, n // q).is_identity for q in primes)
+    return all(not scalar_mul(D, n // q).is_identity for q in factor_integer(n)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from math import comb, gcd, lcm
 import numpy as np
 
 from .errors import InexactDivisionError, UsageError
-from .exactnum import QQ, FieldElement, FieldSpec, make_extension
+from .exactnum import QQ, FieldElement, FieldSpec, factor_integer, make_extension
 
 __all__ = [
     "ZZ",
@@ -27,6 +27,7 @@ __all__ = [
     "hasse_derivative",
     "poly_gcd",
     "gcd_primitive",
+    "strip_coprime",
     "squarefree_part",
     "resultant",
     "exact_div",
@@ -636,6 +637,21 @@ def gcd_primitive(f: Poly, g: Poly) -> Poly:
     return Poly(ZZ, [c * cont for c in result.cs])
 
 
+def strip_coprime(f: Poly, g: Poly) -> Poly:
+    """Largest divisor of f coprime to g, by iterated exact division.
+
+    Over ZZ[x] the gcds are primitive, so a primitive f stays primitive
+    (Gauss's lemma); over a field the gcds are monic.
+    """
+    gcd_fn = gcd_primitive if f.dom is ZZ else poly_gcd
+    while f.degree > 0:
+        d = gcd_fn(f, g)
+        if d.degree <= 0:
+            break
+        f = exact_div(f, d)
+    return f
+
+
 # ---------------------------------------------------------------------------
 # squarefree part
 
@@ -926,24 +942,6 @@ def _divisors_from_factors(factors: dict[int, int]) -> list[int]:
     return sorted(divs)
 
 
-def _factor_small(n: int, bound: int = 10**6):
-    """Trial division; returns (factors, remaining cofactor).
-
-    The cofactor is 1 when the factorization is complete; a leftover prime
-    (trial division passed its square root) is recognized as such."""
-    factors: dict[int, int] = {}
-    d = 2
-    while d <= bound and d * d <= n:
-        while n % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1 and d * d > n:
-        factors[n] = factors.get(n, 0) + 1
-        n = 1
-    return factors, n
-
-
 def rational_roots(f: Poly) -> tuple[list[Fraction], bool]:
     """(roots in QQ, complete?) for f over QQ or ZZ.
 
@@ -967,8 +965,8 @@ def rational_roots(f: Poly) -> tuple[list[Fraction], bool]:
     if fz.degree == 0:
         return roots, True
     a0, an = abs(fz.cs[0]), abs(fz.lc)
-    fac0, rem0 = _factor_small(a0)
-    facn, remn = _factor_small(an)
+    fac0, rem0 = factor_integer(a0, rho=False)
+    facn, remn = factor_integer(an, rho=False)
     complete = rem0 == 1 and remn == 1
     if rem0 > 1:
         fac0[rem0] = 1

@@ -18,16 +18,15 @@ Two tools:
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import gcd
 
 from .curve import HyperellipticModel, integral_model, reduce_mod_p
 from .divpoly import pi_subdet, subdet_indices
 from .errors import UsageError
-from .exactnum import QQ, is_prime, prime_field
-from .poly import Poly, ZZ, exact_div, gcd_primitive, poly_gcd, resultant, squarefree_part
-from .torsion import TorsionLocus, utilde
+from .exactnum import QQ, factor_integer, prime_field
+from .poly import Poly, ZZ, gcd_primitive, resultant, strip_coprime
+from .torsion import TorsionLocus, normalize_locus, utilde
 
 __all__ = [
     "ScanVerdict",
@@ -36,86 +35,6 @@ __all__ = [
     "characteristic_search",
     "factor_integer",
 ]
-
-
-# ---------------------------------------------------------------------------
-# integer factoring: trial division plus a Brent-Pollard rho stage
-
-
-def _rho_brent(n: int) -> int:
-    """A nontrivial factor of composite odd n, deterministic parameter sweep."""
-    if n % 2 == 0:
-        return 2
-    for c in range(1, 64):
-        y, r, q = 2, 1, 1
-        m = 128
-        g_, x, ys = 1, 0, 0
-        while g_ == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g_ == 1:
-                ys = y
-                for _ in range(min(m, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g_ = gcd(q, n)
-                k += m
-            r *= 2
-        if g_ == n:
-            g_ = 1
-            while g_ == 1:
-                ys = (ys * ys + c) % n
-                g_ = gcd(abs(x - ys), n)
-        if g_ != n:
-            return g_
-    raise ArithmeticError(f"rho failed to split {n}")
-
-
-_RHO_LIMIT = 1 << 84  # beyond this, rho may never finish; report the cofactor
-
-
-def factor_integer(n: int, trial_bound: int = 10**6, rho: bool = True):
-    """(prime factor multiplicities, unfactored cofactor >= 1).
-
-    Trial division up to ``trial_bound``; remaining composites below a size
-    cap are split by Pollard rho.  Anything still composite and unsplit is
-    returned as the cofactor rather than silently dropped.
-    """
-    if n < 0:
-        n = -n
-    factors: dict[int, int] = {}
-    if n in (0, 1):
-        return factors, n if n else 0
-    d = 2
-    while d <= trial_bound and d * d <= n:
-        while n % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1 and d * d > n:
-        factors[n] = factors.get(n, 0) + 1
-        n = 1
-    stack = [n] if n > 1 else []
-    cofactor = 1
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if is_prime(m):
-            factors[m] = factors.get(m, 0) + 1
-            continue
-        if not rho or m > _RHO_LIMIT:
-            cofactor *= m
-            continue
-        try:
-            f = _rho_brent(m)
-        except ArithmeticError:
-            cofactor *= m
-            continue
-        stack.extend((f, m // f))
-    return factors, cofactor
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +78,6 @@ def reduction_scan(
     n_range,
     primes,
     compute_char0_followup: bool = True,
-    threads: int = 1,
 ) -> list[ScanVerdict]:
     """Per-level emptiness verdicts for N in ``n_range`` using witness primes.
 
@@ -173,11 +91,6 @@ def reduction_scan(
     ns = list(n_range)
     if any(N < 3 for N in ns):
         raise UsageError("levels start at 3")
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(
-                pool.map(lambda N: _scan_one(model, N, primes, compute_char0_followup), ns)
-            )
     return [_scan_one(model, N, primes, compute_char0_followup) for N in ns]
 
 
@@ -196,15 +109,6 @@ class CharSearchReport:
     common_content_primes: tuple[int, ...]  # vanish-everywhere primes, handled by reduction
     skipped: tuple[tuple[int, str], ...]  # candidates not confirmable (bad reduction, ...)
     note: str = ""
-
-
-def _strip_all(f: Poly, g: Poly) -> Poly:
-    """Remove from f every factor it shares with g (over ZZ, primitive)."""
-    while True:
-        d = gcd_primitive(f, g)
-        if d.degree <= 0:
-            return f
-        f = exact_div(f, d).primitive()
 
 
 def characteristic_search(
@@ -239,8 +143,8 @@ def characteristic_search(
     for p_ in nonzero:
         r = p_.primitive()
         if g0.degree > 0:
-            r = _strip_all(r, g0)
-        r = _strip_all(r, FZ)
+            r = strip_coprime(r, g0)
+        r = strip_coprime(r, FZ)
         remainders.append(r)
     pairs = []
     for i in range(len(remainders)):
@@ -279,7 +183,10 @@ def characteristic_search(
             skipped.append((p, "bad reduction"))
             continue
         locus_p = utilde(model, N, p)
-        expected = _expected_generic_mod_p(g0, FZ, p)
+        gf = prime_field(p)
+        # the unexceptional locus mod p: g0 is primitive over ZZ, so primes
+        # dividing its leading coefficient reduce with a degree drop
+        expected = normalize_locus(g0.map_to(gf), FZ.map_to(gf))
         if locus_p.utilde != expected:
             exceptional.append((p, locus_p.utilde))
     return CharSearchReport(
@@ -293,25 +200,3 @@ def characteristic_search(
         tuple(skipped),
         note,
     )
-
-
-def _expected_generic_mod_p(g0: Poly, FZ: Poly, p: int) -> Poly:
-    """What the locus mod p looks like when p is unexceptional: the radical
-    of the prime-to-F part of the reduced generic factor.
-
-    Works from the primitive integer form of the generic factor so that
-    primes dividing its leading coefficient reduce cleanly (with a degree
-    drop) instead of failing."""
-    gf = prime_field(p)
-    gp = g0.map_to(gf)
-    if gp.degree <= 0:
-        return Poly.one(gf)
-    Fp = FZ.map_to(gf)
-    while True:
-        d = poly_gcd(gp, Fp)
-        if d.degree == 0:
-            break
-        gp = exact_div(gp, d)
-    if gp.degree <= 0:
-        return Poly.one(gf)
-    return squarefree_part(gp).monic()

@@ -19,7 +19,6 @@ constant 1 is returned without touching the matrix.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .curve import HyperellipticModel, integral_model, mu_nu, reduce_mod_p, resolve_char
@@ -27,14 +26,7 @@ from .divpoly import delta, pi_subdet, s_sequence, subdet_indices
 from .errors import TheoremViolation, UsageError
 from .exactnum import QQ, FieldElement, prime_field
 from .linalg import berkowitz_det_mod, scalar_rank
-from .poly import (
-    Poly,
-    ZZ,
-    exact_div,
-    gcd_primitive,
-    poly_gcd,
-    squarefree_part,
-)
+from .poly import Poly, ZZ, gcd_primitive, poly_gcd, squarefree_part, strip_coprime
 
 __all__ = [
     "TorsionLocus",
@@ -48,6 +40,7 @@ __all__ = [
     "rank_at",
     "RankReport",
     "subdet_count_bound",
+    "normalize_locus",
 ]
 
 _STABLE_FOLDS = 2  # unchanged gcd folds before attempting the modular shortcut
@@ -73,17 +66,9 @@ def _field_dom(char: int):
     return QQ if char == 0 else prime_field(char)
 
 
-def _strip_F_part(g: Poly, F: Poly) -> Poly:
-    """Largest divisor of g coprime to F, by iterated division."""
-    while True:
-        d = poly_gcd(g, F)
-        if d.degree == 0:
-            return g
-        g = exact_div(g, d)
-
-
-def _normalize_locus(g: Poly, F: Poly) -> Poly:
-    g = _strip_F_part(g, F)
+def normalize_locus(g: Poly, F: Poly) -> Poly:
+    """The monic radical of the prime-to-F part of g, over a field."""
+    g = strip_coprime(g, F)
     if g.degree <= 0:
         return Poly.one(g.dom)
     return squarefree_part(g).monic()
@@ -99,12 +84,7 @@ def _fold(running: Poly | None, pi: Poly, char: int) -> Poly | None:
     return pi if running is None else poly_gcd(running, pi)
 
 
-def utilde(
-    model: HyperellipticModel,
-    N: int,
-    char: int | None = None,
-    threads: int = 1,
-) -> TorsionLocus:
+def utilde(model: HyperellipticModel, N: int, char: int | None = None) -> TorsionLocus:
     """The monic squarefree polynomial whose roots are the x-coordinates of
     affine points of order dividing N but not dividing 2, over the algebraic
     closure in the given characteristic."""
@@ -121,7 +101,6 @@ def utilde(
         return TorsionLocus(
             model, N, char, Poly.one(dom), (), False, note=f"3<=N<=2g={2 * g}: locus empty"
         )
-    mn = mu_nu(g, N)
     seq = s_sequence(model, N - 1)
     F = seq.FZ if char == 0 else seq.FZ.map_to(prime_field(char))
     indices = subdet_indices(g, N)
@@ -131,57 +110,34 @@ def utilde(
     stable = 0
     any_nonzero = False
 
-    def compute_pi(j):
-        return pi_subdet(model, N, j, char)
-
-    pos = 0
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    try:
-        while pos < len(indices):
-            if pool is not None:
-                chunk = indices[pos : pos + threads]
-                pis = list(pool.map(compute_pi, chunk))
-            else:
-                chunk = indices[pos : pos + 1]
-                pis = [compute_pi(chunk[0])]
-            exited = None
-            for j, pi in zip(chunk, pis):
-                pos += 1
-                if j == indices[0]:
-                    delta_vanished = pi.is_zero
-                if not pi.is_zero:
-                    any_nonzero = True
-                before = running
-                running = _fold(running, pi, char)
-                used.append(j)
-                if running is None:
-                    continue
-                if before is not None and running == before:
-                    stable += 1
-                else:
-                    stable = 0
-                if running.degree == 0:
-                    exited = Poly.one(dom)
-                    break
-                if stable >= _STABLE_FOLDS and len(indices) - pos >= _SHORTCUT_MIN_REMAINING:
-                    h = _candidate_locus(running, F, char)
-                    if h.degree == 0:
-                        exited = Poly.one(dom)
-                        break
-                    bad = _first_unverified(model, N, indices[pos:], h, char)
-                    if bad is None:
-                        exited = h
-                        break
-                    # fold the offending subdeterminant immediately and resume
-                    pi_bad = compute_pi(bad)
-                    running = _fold(running, pi_bad, char)
-                    used.append(bad)
-                    stable = 0
-            if exited is not None:
-                return TorsionLocus(model, N, char, exited, _dedupe(used), delta_vanished)
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False)
+    for pos, j in enumerate(indices, 1):
+        pi = pi_subdet(model, N, j, char)
+        if pos == 1:
+            delta_vanished = pi.is_zero
+        if not pi.is_zero:
+            any_nonzero = True
+        before = running
+        running = _fold(running, pi, char)
+        used.append(j)
+        if running is None:
+            continue
+        if before is not None and running == before:
+            stable += 1
+        else:
+            stable = 0
+        if running.degree == 0:
+            return TorsionLocus(model, N, char, Poly.one(dom), _dedupe(used), delta_vanished)
+        if stable >= _STABLE_FOLDS and len(indices) - pos >= _SHORTCUT_MIN_REMAINING:
+            h = _candidate_locus(running, F, char)
+            if h.degree == 0:
+                return TorsionLocus(model, N, char, Poly.one(dom), _dedupe(used), delta_vanished)
+            bad = _first_unverified(model, N, indices[pos:], h, char)
+            if bad is None:
+                return TorsionLocus(model, N, char, h, _dedupe(used), delta_vanished)
+            # fold the offending subdeterminant immediately and resume
+            running = _fold(running, pi_subdet(model, N, bad, char), char)
+            used.append(bad)
+            stable = 0
 
     if not any_nonzero or running is None:
         raise TheoremViolation(
@@ -204,8 +160,8 @@ def _dedupe(used: list) -> tuple:
 
 def _candidate_locus(running: Poly, F: Poly, char: int) -> Poly:
     if char == 0:
-        return _normalize_locus(running.map_to(QQ), F.map_to(QQ))
-    return _normalize_locus(running, F)
+        return normalize_locus(running.map_to(QQ), F.map_to(QQ))
+    return normalize_locus(running, F)
 
 
 def _first_unverified(model, N, remaining, h: Poly, char: int):

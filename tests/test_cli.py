@@ -1,5 +1,7 @@
 import json
-import os
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +20,22 @@ def run_capture(capsys, argv):
     code = cli.run(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+REPO = Path(__file__).resolve().parent.parent
+EX1_TEXT = b"char: 0\nP: 0,0,0,0,0,1\nQ: 1\n"
+
+
+def readme_commands():
+    """Argument lists of every `hyptorsion ...` line in the README's sh blocks."""
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    cmds = []
+    for block in re.findall(r"```sh\n(.*?)```", text, re.S):
+        for line in block.splitlines():
+            line = line.split("#", 1)[0].strip()
+            if line.startswith("hyptorsion "):
+                cmds.append(shlex.split(line)[1:])
+    return cmds
 
 
 class TestExitCodes:
@@ -42,6 +60,28 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "count_tilde", boom)
         code, _, err = run_capture(capsys, ["torsion", "count", "--curve", ex1_file, "--N", "5"])
         assert code == 2 and "FALSIFIED" in err
+
+    @pytest.mark.parametrize(
+        "curve, argv",
+        [
+            (EX1_TEXT, ["scan", "--n-from", "7", "--n-to", "8", "--primes", "a,b"]),
+            (EX1_TEXT, ["torsion", "rank-at", "--N", "5", "--x0", "zz"]),
+            (EX1_TEXT, ["torsion", "rank-at", "--N", "5", "--x0", "1/0"]),
+            (EX1_TEXT, ["torsion", "rank-at", "--char", "7", "--N", "5", "--x0", "1,2,x"]),
+            (b"char: 0\nP: a,b\nQ: 1\n", ["torsion", "count", "--N", "5"]),
+            (b"char: 0\nP: 0,0,0,0,0,1\nQ: 1/0\n", ["torsion", "count", "--N", "5"]),
+            (b"char: abc\nP: 0,0,0,0,0,1\nQ: 1\n", ["torsion", "count", "--N", "5"]),
+            (b"char: 0\nP: 0,0,0,0,0,1\nQ: 1  # \xff\n", ["torsion", "count", "--N", "5"]),
+        ],
+        ids=["primes", "x0-text", "x0-zero-den", "x0-ext", "P-text", "Q-fraction", "char-text", "not-utf8"],
+    )
+    def test_bad_input_is_usage_error(self, capsys, tmp_path, curve, argv):
+        path = tmp_path / "in.curve"
+        path.write_bytes(curve)
+        code, _, err = run_capture(capsys, argv + ["--curve", str(path)])
+        assert code == 1
+        assert err.startswith("usage error:")
+        assert "Traceback" not in err
 
     def test_success_zero(self, capsys, ex1_file):
         code, out, _ = run_capture(capsys, ["torsion", "count", "--curve", ex1_file, "--char", "0", "--N", "5"])
@@ -139,24 +179,8 @@ class TestOutputs:
         assert code == 0  # defaults to the file's characteristic
 
 
-class TestThreadsAndCache:
-    def test_threads_flag_and_env(self, capsys, ex1_file, monkeypatch):
-        code, a, _ = run_capture(
-            capsys, ["torsion", "utilde", "--curve", ex1_file, "--char", "0", "--N", "7", "--threads", "3"]
-        )
-        monkeypatch.setenv("HYPTORSION_THREADS", "2")
-        code, b, _ = run_capture(capsys, ["torsion", "utilde", "--curve", ex1_file, "--char", "0", "--N", "7"])
-        assert a == b
-
-    def test_cache_dir_persists(self, capsys, ex1_file, tmp_path):
-        cache = str(tmp_path / "cache")
-        code, a, _ = run_capture(
-            capsys, ["divpoly", "delta", "--curve", ex1_file, "--N", "5", "--cache-dir", cache]
-        )
-        assert code == 0
-        files = os.listdir(cache)
-        assert len(files) == 1 and files[0].startswith("sseq-")
-        code, b, _ = run_capture(
-            capsys, ["divpoly", "delta", "--curve", ex1_file, "--N", "5", "--cache-dir", cache]
-        )
-        assert a == b
+@pytest.mark.parametrize("argv", readme_commands(), ids=lambda argv: "-".join(a for a in argv[:2] if not a.startswith("-")))
+def test_readme_example(capsys, monkeypatch, argv):
+    monkeypatch.chdir(REPO)
+    code, _, err = run_capture(capsys, argv)
+    assert code == 0, err

@@ -2,9 +2,9 @@ from math import factorial
 
 import pytest
 
-from hyptorsion.curve import mu_nu, new_model
+from hyptorsion import divpoly
+from hyptorsion.curve import integral_model, mu_nu, new_model
 from hyptorsion.divpoly import (
-    SSequence,
     build_M,
     cantor_P,
     classical_sign,
@@ -74,13 +74,16 @@ class TestSSequence:
             assert seq.s_entry(1, m) == x * seq.s(m) + F * seq.s(m - 1)
         assert seq.s_entry(2, 8) == x**2 * seq.s(8) + (x * F * seq.s(7)).scale(2) + F * F * seq.s(6)
 
-    def test_cache_roundtrip(self, ex1_model, tmp_path):
-        seq = s_sequence(ex1_model, 6)
-        seq.save(str(tmp_path))
-        fresh = SSequence(ex1_model)
-        assert fresh.load(str(tmp_path))
-        assert fresh.n_max >= 6
-        assert fresh.s(4) == seq.s(4)
+    def test_memo_bounded(self, rng):
+        before = {}
+        models = [random_integral_model(2, rng) for _ in range(40)]
+        for m in models:
+            before[m] = s_sequence(m, 6).s(6)
+            assert len(divpoly._SEQ_CACHE) <= divpoly._SEQ_CACHE_MAX
+        evicted = [m for m in models if integral_model(m) not in divpoly._SEQ_CACHE]
+        assert evicted
+        for m in evicted:
+            assert s_sequence(m, 6).s(6) == before[m]
 
 
 class TestMatrix:

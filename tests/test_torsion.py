@@ -106,13 +106,6 @@ class TestUtilde:
                 assert cnt <= 2 * d.degree // m.g
             assert cnt <= subdet_count_bound(m, N, char)
 
-    def test_threads_deterministic(self, ex1_model, x051_model):
-        for m, N, char in ((ex1_model, 7, 0), (x051_model, 9, 5)):
-            a = utilde(m, N, char, threads=1)
-            b = utilde(m, N, char, threads=3)
-            assert a.utilde == b.utilde
-            assert a.subdets_used == b.subdets_used
-
     def test_small_level_guard_empirical(self, rng):
         # brute force: no points of order 3 or 4 on a genus-2 curve over small fields
         p = 7
