@@ -4,9 +4,15 @@ Coefficients are stored ascending in a tuple whose last entry is nonzero;
 the zero polynomial is the empty tuple and reports degree -1.  The domain
 object (``ZZ`` or a ``FieldSpec``) carries the scalar operations, so hot
 kernels (multiplication, division) can pick fast paths: schoolbook with a
-Karatsuba split above degree 32 for characteristic zero, numpy int64
-convolution for prime fields when the modulus is small enough to rule out
-overflow.
+Karatsuba split above degree 32 for characteristic zero, and numpy arrays
+for prime fields.  A GF(p) convolution is exact in float64 while
+min(len a, len b)·(p−1)² < 2⁵³ and in int64 below 2⁶²; past that it runs
+on Python ints.  GF(p) division with a long quotient multiplies by a Newton
+reciprocal of the reversed divisor and checks the remainder through the
+full product; a short quotient (Euclid's steps) uses long division on an
+int64 array, and moduli with (p−1)² ≥ 2⁶², whose products would wrap
+there, use plain Python.  GF(p) addition, subtraction, negation and
+scaling of long polynomials are array operations too.
 
 Everything here is pure; polynomials never mutate after construction.
 """
@@ -126,24 +132,6 @@ def _mul_native(a, b):
     return out
 
 
-def _gfp_numpy_ok(p: int, n: int) -> bool:
-    return n * (p - 1) * (p - 1) < (1 << 62)
-
-
-def _mul_gfp(a, b, p):
-    na, nb = len(a), len(b)
-    if min(na, nb) >= 16 and _gfp_numpy_ok(p, min(na, nb)):
-        out = np.convolve(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64))
-        out %= p
-        return out.tolist()
-    out = [0] * (na + nb - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return out
-
-
 def _mul_spec(a, b, spec):
     out = [spec.zero()] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
@@ -154,11 +142,76 @@ def _mul_spec(a, b, spec):
 
 
 # ---------------------------------------------------------------------------
+# GF(p) array kernels
+#
+# GF(p) coefficients are residues in [0, p).  A convolution of residue
+# sequences has partial sums below min(len a, len b)·(p−1)², so it is exact
+# in float64 while that bound is below 2⁵³ (such integers are represented
+# exactly, in whatever order BLAS sums them) and in int64 below 2⁶²; past
+# that only Python ints are safe.
+
+_F64_EXACT = 1 << 53
+_I64_EXACT = 1 << 62
+_ARRAY_AT = 64  # GF(p) add/sub/neg/scale use numpy from this many coefficients
+_NEWTON_AT = 32  # GF(p) quotients this long are found by a Newton reciprocal
+
+
+def _conv_np_ok(p: int, n: int) -> bool:
+    """Whether ``_conv`` is exact when the shorter factor has n terms."""
+    return n * (p - 1) * (p - 1) < _I64_EXACT
+
+
+def _conv(a, b, p):
+    """a·b mod p as an int64 array, for residue sequences (or int64 arrays)
+    with ``_conv_np_ok(p, min(len(a), len(b)))``."""
+    if min(len(a), len(b)) * (p - 1) * (p - 1) < _F64_EXACT:
+        out = np.fmod(np.convolve(np.asarray(a, np.float64), np.asarray(b, np.float64)), p)
+        return out.astype(np.int64)
+    out = np.convolve(np.asarray(a, np.int64), np.asarray(b, np.int64))
+    out %= p
+    return out
+
+
+def _trimmed(arr) -> list:
+    """The entries of a 1-d array up to its last nonzero one, as a list."""
+    nz = np.flatnonzero(arr)
+    return arr[: nz[-1] + 1].tolist() if nz.size else []
+
+
+def _gfp_arrays(dom, n: int) -> bool:
+    """Whether elementwise GF(p) work on n coefficients goes to numpy."""
+    return n >= _ARRAY_AT and dom.kind == "prime" and _conv_np_ok(dom.p, 1)
+
+
+def _mul_gfp(a, b, p):
+    na, nb = len(a), len(b)
+    if min(na, nb) >= 16 and _conv_np_ok(p, min(na, nb)):
+        return _conv(a, b, p).tolist()
+    out = [0] * (na + nb - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] = (out[i + j] + ai * bj) % p
+    return out
+
+
+def _addsub_gfp(a, b, p, sign):
+    """a + sign·b mod p, trimmed, for residue sequences and sign = ±1."""
+    out = np.zeros(max(len(a), len(b)), np.int64)
+    out[: len(a)] = a
+    out[: len(b)] += sign * np.asarray(b, np.int64)
+    out %= p
+    return _trimmed(out)
+
+
+# ---------------------------------------------------------------------------
 # the polynomial type
 
 
 class Poly:
-    __slots__ = ("dom", "cs")
+    # _inv memoizes, for a GF(p) divisor b, a prefix of the power series
+    # 1/rev(b) (see ``_rev_inverse``); it is not part of the value.
+    __slots__ = ("dom", "cs", "_inv")
 
     def __init__(self, dom, coeffs):
         if dom is QQ:
@@ -168,6 +221,7 @@ class Poly:
             cs.pop()
         object.__setattr__(self, "dom", dom)
         object.__setattr__(self, "cs", tuple(cs))
+        object.__setattr__(self, "_inv", None)
 
     def __setattr__(self, *a):
         raise AttributeError("Poly is immutable")
@@ -244,6 +298,8 @@ class Poly:
         other = self._check(other)
         dom = self.dom
         a, b = self.cs, other.cs
+        if _gfp_arrays(dom, max(len(a), len(b))):
+            return Poly(dom, _addsub_gfp(a, b, dom.p, 1))
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
@@ -255,10 +311,17 @@ class Poly:
 
     def __neg__(self):
         dom = self.dom
+        if _gfp_arrays(dom, len(self.cs)):
+            return Poly(dom, (-np.array(self.cs, np.int64) % dom.p).tolist())
         return Poly(dom, [dom.neg(c) for c in self.cs])
 
     def __sub__(self, other):
-        return self + (-self._check(other))
+        other = self._check(other)
+        dom = self.dom
+        a, b = self.cs, other.cs
+        if _gfp_arrays(dom, max(len(a), len(b))):
+            return Poly(dom, _addsub_gfp(a, b, dom.p, -1))
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + self._check(other)
@@ -282,6 +345,8 @@ class Poly:
         dom = self.dom
         if dom.is_zero(c):
             return Poly.zero(dom)
+        if _gfp_arrays(dom, len(self.cs)):
+            return Poly(dom, _trimmed(np.array(self.cs, np.int64) * (c % dom.p) % dom.p))
         return Poly(dom, [dom.mul(v, c) for v in self.cs])
 
     def shift(self, k: int) -> "Poly":
@@ -311,8 +376,8 @@ class Poly:
         dom = self.dom
         if dom is ZZ:
             return _divmod_zz(self, other)
-        if dom.kind == "prime" and len(self.cs) > 256:
-            q, r = _divmod_gfp_np(self.cs, other.cs, dom.p)
+        if dom.kind == "prime" and len(self.cs) > 256 and _conv_np_ok(dom.p, 1):
+            q, r = _divmod_gfp(self.cs, other, dom.p)
             return Poly(dom, q), Poly(dom, r)
         db = other.degree
         inv_lc = dom.inv(other.lc)
@@ -496,12 +561,61 @@ def _divmod_zz(a: Poly, b: Poly):
     return Poly(ZZ, qcs), Poly(ZZ, rem[:db])
 
 
-def _divmod_gfp_np(a, b, p):
-    db = len(b) - 1
-    inv_lc = pow(b[-1], p - 2, p)
-    rem = np.array(a, dtype=np.int64)
-    bb = np.array(b[:-1], dtype=np.int64)
-    q = [0] * (len(a) - db)
+# ---------------------------------------------------------------------------
+# GF(p) division
+
+
+def _rev_inverse(b: Poly, k: int, p: int):
+    """The first k coefficients of the power series 1/rev(b), rev(b) being b
+    with its coefficients reversed, as an int64 array.
+
+    Newton iteration doubles the precision n of g = 1/rev(b) mod x^n: with
+    rev(b)·g = 1 + x^n·e, the next n coefficients of g are those of -g·e.
+    The result is kept on b and extended when a longer prefix is asked for,
+    so the many divisions by one Bareiss pivot share one reciprocal.
+    """
+    g = b._inv
+    if g is None:
+        g = np.array([pow(b.cs[-1], p - 2, p)], np.int64)
+    n = len(g)
+    if n < k:
+        f = np.zeros(k, np.int64)
+        f[: len(b.cs)] = b.cs[::-1][:k]
+        while n < k:
+            n2 = min(2 * n, k)
+            e = _conv(f[:n2], g, p)[n:n2]
+            g = np.concatenate((g, -_conv(g[: n2 - n], e, p)[: n2 - n] % p))
+            n = n2
+        object.__setattr__(b, "_inv", g)
+    return g[:k]
+
+
+def _divmod_gfp(a, b: Poly, p):
+    """(quotient, remainder) coefficient lists of a by b over GF(p), for
+    p with ``_conv_np_ok(p, 1)``; the remainder list is trimmed.
+
+    A quotient of k >= _NEWTON_AT terms is rev(a)·(1/rev(b)) mod x^k,
+    reversed (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 9).
+    The remainder is a - q·b from the full product, whose part of degree
+    >= deg b must vanish: that check is independent of the reciprocal.
+    Shorter quotients, as in Euclid's steps, are cheaper by long division,
+    one array update per quotient term.
+    """
+    bs = b.cs
+    db = len(bs) - 1
+    k = len(a) - db
+    rem = np.array(a, np.int64)
+    if k >= _NEWTON_AT and _conv_np_ok(p, k):
+        q = _conv(rem[::-1][:k], _rev_inverse(b, k, p), p)[k - 1 :: -1]
+        rem -= _conv(q, bs, p)
+        rem %= p
+        r = _trimmed(rem)
+        if len(r) > db:
+            raise AssertionError("Newton division left a remainder of degree >= deg b")
+        return q.tolist(), r
+    inv_lc = pow(bs[-1], p - 2, p)
+    bb = np.array(bs[:-1], np.int64)
+    q = [0] * max(k, 0)
     for i in range(len(a) - 1, db - 1, -1):
         c = int(rem[i])
         if c:
@@ -510,8 +624,7 @@ def _divmod_gfp_np(a, b, p):
             if db:
                 rem[i - db : i] -= qc * bb
                 rem[i - db : i] %= p
-    r = rem[:db].tolist()
-    return q, r
+    return q, _trimmed(rem[:db])
 
 
 def exact_div(f: Poly, g: Poly) -> Poly:

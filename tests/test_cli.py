@@ -1,6 +1,9 @@
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -82,6 +85,19 @@ class TestExitCodes:
         assert code == 1
         assert err.startswith("usage error:")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("p", ["4294967291", "4294967311"])
+    def test_large_prime_is_not_falsified(self, capsys, p):
+        argv = ["torsion", "utilde", "--curve", str(REPO / "demos/curves/ex5.curve"), "--char", p, "--N", "16"]
+        code, out, err = run_capture(capsys, argv)
+        assert (code, out.strip()) == (0, "1"), err
+
+    def test_python_m_runs_the_cli(self):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])))
+        argv = ["torsion", "count", "--curve", str(REPO / "demos/curves/ex1.curve"), "--N", "5", "--char", "2"]
+        for module in ("hyptorsion", "hyptorsion.cli"):
+            proc = subprocess.run([sys.executable, "-m", module, *argv], env=env, capture_output=True, text=True)
+            assert (proc.returncode, proc.stdout.strip()) == (0, "32"), proc.stderr
 
     def test_success_zero(self, capsys, ex1_file):
         code, out, _ = run_capture(capsys, ["torsion", "count", "--curve", ex1_file, "--char", "0", "--N", "5"])

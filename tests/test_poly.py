@@ -1,7 +1,10 @@
+import random
 from fractions import Fraction
 from math import comb, factorial
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hyptorsion.errors import InexactDivisionError, UsageError
 from hyptorsion.exactnum import QQ, make_extension, prime_field
@@ -85,6 +88,115 @@ class TestArithmetic:
         assert parse_poly(ZZ, f.to_csv()) == f
         assert parse_poly(QQ, "x^2 - 1/2") == Poly(QQ, [Fraction(-1, 2), Fraction(0), Fraction(1)])
         assert parse_poly(ZZ, "0,0,1") == Poly.x(ZZ) ** 2
+
+
+def _trim(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def long_divmod(a, b, p):
+    """Reference GF(p) schoolbook division of residue lists, b[-1] != 0."""
+    db = len(b) - 1
+    inv = pow(b[-1], p - 2, p)
+    rem = list(a)
+    q = [0] * max(len(a) - db, 0)
+    for i in range(len(a) - 1, db - 1, -1):
+        c = rem[i] * inv % p
+        q[i - db] = c
+        for j, bj in enumerate(b):
+            rem[i - db + j] = (rem[i - db + j] - c * bj) % p
+    return _trim(q), _trim(rem[:db])
+
+
+def long_mul(a, b, p):
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] = (out[i + j] + ai * bj) % p
+    return _trim(out)
+
+
+# 134217689 < 2^27 is the one prime here whose convolutions take the int64
+# path (n·(p−1)² between 2^53 and 2^62).  2^31−1 divides by the int64 long
+# division loop and 4294967291 in plain Python; both multiply in plain Python.
+FUZZ_PRIMES = (2, 5, 13, 65521, 134217689, 2**31 - 1, 4294967291)
+
+
+def _rand_gfp(gf, deg, rnd):
+    """Random residues of degree exactly deg (the zero polynomial for -1)."""
+    p = gf.p
+    return Poly(gf, [rnd.randrange(p) for _ in range(deg)] + [rnd.randrange(1, p)] if deg >= 0 else [])
+
+
+class TestGfpFuzz:
+    """GF(p) kernels against schoolbook references and sympy, degrees 0-600,
+    crossing the numpy (256 coefficients), Newton-quotient, elementwise-array
+    and overflow thresholds."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(p=st.sampled_from(FUZZ_PRIMES), db=st.integers(0, 600), da=st.integers(0, 600),
+           exact=st.booleans(), seed=st.integers(0, 2**32))
+    def test_against_reference_and_sympy(self, p, db, da, exact, seed):
+        rnd = random.Random(seed)
+        gf = prime_field(p)
+        b = _rand_gfp(gf, db, rnd)
+        if exact:
+            q0 = _rand_gfp(gf, max(da - db, 0), rnd)
+            r0 = _rand_gfp(gf, rnd.randint(0, db - 1), rnd) if db > 0 and rnd.random() < 0.5 else Poly.zero(gf)
+            a = q0 * b + r0
+            if r0.is_zero:
+                assert exact_div(a, b) == q0
+            else:
+                with pytest.raises(InexactDivisionError):
+                    exact_div(a, b)
+        else:
+            a = _rand_gfp(gf, da, rnd)
+        q, r = divmod(a, b)
+        assert [list(q.cs), list(r.cs)] == list(long_divmod(a.cs, b.cs, p))
+        if exact:
+            assert (q, r) == (q0, r0)
+        # the reciprocal memoized on b is reused and extended here
+        assert exact_div(a * b, b) == a
+        assert list((a * b).cs) == long_mul(a.cs, b.cs, p)
+        n = max(len(a.cs), len(b.cs))
+        pad_a, pad_b = list(a.cs) + [0] * (n - len(a.cs)), list(b.cs) + [0] * (n - len(b.cs))
+        assert list((a - b).cs) == _trim((x - y) % p for x, y in zip(pad_a, pad_b))
+        assert list((a + b).cs) == _trim((x + y) % p for x, y in zip(pad_a, pad_b))
+        assert list((-a).cs) == [-x % p for x in a.cs]
+        c = rnd.randrange(p)
+        assert list(a.scale(c).cs) == _trim(x * c % p for x in a.cs)
+
+        # sympy's dense GF(p) list arithmetic (descending coefficients); its
+        # Poly(..., modulus=p) front end runs the same operations about ten
+        # times slower, on field-element objects
+        gt = pytest.importorskip("sympy.polys.galoistools")
+        K = pytest.importorskip("sympy.polys.domains").ZZ
+        sa, sb = list(reversed(a.cs)), list(reversed(b.cs))
+        sq, sr = gt.gf_div(sa, sb, p, K)
+        assert [list(q.cs), list(r.cs)] == [sq[::-1], sr[::-1]]
+        assert list((a * b).cs) == gt.gf_mul(sa, sb, p, K)[::-1]
+        assert list((a - b).cs) == gt.gf_sub(sa, sb, p, K)[::-1]
+
+    @pytest.mark.parametrize("p", [4294967291, 4294967311])
+    def test_no_int64_overflow_above_2_to_31(self, p, rng):
+        # (p-1)^2 >= 2^63: an int64 update qc*b would wrap
+        gf = prime_field(p)
+        a, b = _rand_gfp(gf, 200, rng), _rand_gfp(gf, 150, rng)
+        assert exact_div(a * b, b) == a
+        assert divmod(a * b + Poly.one(gf), b) == (a, Poly.one(gf))
+
+    def test_reciprocal_memo_is_not_part_of_the_value(self, rng):
+        gf = prime_field(5)
+        b = _rand_gfp(gf, 300, rng)
+        twin = Poly(gf, b.cs)
+        for deg_q in (40, 300, 100, 600):
+            a = _rand_gfp(gf, deg_q, rng)
+            assert exact_div(a * twin, b) == a
+            assert b == twin and hash(b) == hash(twin)
 
 
 class TestHasseDerivative:
@@ -339,6 +451,16 @@ class TestDeterminants:
                     continue
                 h = h.monic()
                 assert berkowitz_det_mod(m, h) == bareiss_det(m) % h
+        # degree-100 entries: Bareiss divides degree-400 and -600 numerators,
+        # past the numpy and Newton thresholds; an h of degree above the
+        # determinant's makes Berkowitz mod h an independent full determinant
+        for p in (5, 65521):
+            gf = prime_field(p)
+            m = [[_rand_gfp(gf, 100, rng) for _ in range(4)] for _ in range(4)]
+            h = _rand_gfp(gf, 401, rng).monic()
+            det = bareiss_det(m)
+            assert det.degree > 300
+            assert berkowitz_det_mod(m, h) == det
 
     def test_bareiss_zero_pivot_row_swap(self):
         x = Poly.x(ZZ)

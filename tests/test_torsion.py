@@ -45,6 +45,13 @@ class TestUtilde:
         loc5 = utilde(ex2_model, 6, 5)
         assert loc5.degree == 20 and count_tilde(ex2_model, 6, 5) == 40
 
+    @pytest.mark.parametrize("p", [4294967291, 4294967311])
+    def test_ex5_level16_past_int64_squares(self, ex5_model, p):
+        # (p-1)^2 >= 2^63, so an int64 update q_i * b would wrap; it once
+        # turned this exact division into a false falsification
+        loc = utilde(ex5_model, 16, p)
+        assert loc.utilde == Poly.one(prime_field(p))
+
     def test_small_levels_guard(self, ex1_model, ex5_model):
         for m, Ns in ((ex1_model, (3, 4)), (ex5_model, (3, 4, 5, 6))):
             for N in Ns:
