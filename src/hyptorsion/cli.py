@@ -88,7 +88,6 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("scan", help="emptiness certificates over a level range", parents=[common])
     p.add_argument("--curve", required=True)
-    p.add_argument("--char", type=int, default=0, help="must be 0: the scan reduces an integral model")
     p.add_argument("--n-from", type=int, required=True)
     p.add_argument("--n-to", type=int, required=True)
     p.add_argument("--primes", type=_int_list, required=True, help="comma-separated witness primes")

@@ -8,9 +8,16 @@ cheap; ``FieldElement`` wraps a (spec, value) pair with operators for API use.
 Extension fields are constructed deterministically: the modulus is the first
 monic irreducible polynomial of degree k over GF(p), scanning coefficient
 tuples (c0, ..., c_{k-1}) in ascending base-p order with c0 varying fastest.
+Irreducibility is Rabin's test, run with the GF(p)[x] arithmetic of ``poly``.
 There is no lattice of compatible embeddings; each field stands alone, and
 the one embedding helper needed (subfield into an extension of its degree
 times d) lives in ``poly``.
+
+This module holds scalar arithmetic only.  Quadratics over a finite field
+are solved by ``poly``'s root finder (Cantor-Zassenhaus); over the rationals
+by the discriminant.  The one polynomial loop left here is the extended
+Euclid inside ``FieldSpec.inv``, kept on coefficient lists: inversions are
+frequent and tiny, and ``Poly`` objects measured slower there.
 """
 
 from __future__ import annotations
@@ -30,7 +37,6 @@ __all__ = [
     "make_extension",
     "solve_quadratic",
     "frobenius",
-    "sqrt_in_field",
     "is_prime",
     "factor_integer",
 ]
@@ -147,8 +153,7 @@ def factor_integer(n: int, trial_bound: int = 10**6, rho: bool = True):
 
 
 # ---------------------------------------------------------------------------
-# minimal GF(p)[x] helpers used only to build extension moduli.
-# (poly.Poly is built on top of this module, so these stay self-contained.)
+# GF(p)[x] helpers for FieldSpec.inv, and the irreducibility test
 
 
 def _pnorm(c: list[int], p: int) -> list[int]:
@@ -169,47 +174,18 @@ def _pmul(a: list[int], b: list[int], p: int) -> list[int]:
     return _pnorm(out, p)
 
 
-def _pmod(a: list[int], m: list[int], p: int) -> list[int]:
-    a = list(a)
-    dm = len(m) - 1
-    inv = pow(m[-1], p - 2, p)
-    while len(a) - 1 >= dm and a:
-        q = a[-1] * inv % p
-        shift = len(a) - 1 - dm
-        for i, mi in enumerate(m):
-            a[shift + i] = (a[shift + i] - q * mi) % p
-        a = _pnorm(a, p)
-    return a
-
-
-def _ppowmod(a: list[int], e: int, m: list[int], p: int) -> list[int]:
-    result = [1]
-    a = _pmod(a, m, p)
-    while e:
-        if e & 1:
-            result = _pmod(_pmul(result, a, p), m, p)
-        a = _pmod(_pmul(a, a, p), m, p)
-        e >>= 1
-    return result
-
-
-def _pgcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = _pnorm(a, p), _pnorm(b, p)
-    while b:
-        a, b = b, _pmod(a, b, p)
-    return a
-
-
 def _is_irreducible(m: list[int], p: int) -> bool:
-    """Rabin test: monic m of degree k is irreducible over GF(p)."""
-    k = len(m) - 1
-    x = [0, 1]
-    if _ppowmod(x, p**k, m, p) != x:
+    """Rabin test: monic m of degree k >= 2 is irreducible over GF(p)."""
+    # poly imports this module when it loads, so the import waits for the call
+    from .poly import Poly, _powmod, poly_gcd
+
+    f = Poly(prime_field(p), m)
+    k = f.degree
+    x = Poly.x(f.dom)
+    if _powmod(x, p**k, f) != x:
         return False
     for ell in factor_integer(k)[0]:
-        w = _ppowmod(x, p ** (k // ell), m, p)
-        diff = _pnorm([(wi - xi) for wi, xi in zip(w + [0] * 2, x + [0] * len(w))], p)
-        if len(_pgcd(diff, m, p)) != 1:
+        if poly_gcd(_powmod(x, p ** (k // ell), f) - x, f).degree != 0:
             return False
     return True
 
@@ -556,7 +532,7 @@ def frobenius(e: FieldElement) -> FieldElement:
 
 
 # ---------------------------------------------------------------------------
-# square roots and quadratics
+# quadratics
 
 
 def _sqrt_fraction(v: Fraction) -> Fraction | None:
@@ -569,139 +545,25 @@ def _sqrt_fraction(v: Fraction) -> Fraction | None:
     return None
 
 
-def _legendre(spec: FieldSpec, v) -> int:
-    """1, -1 or 0: quadratic character in odd characteristic."""
-    if spec.is_zero(v):
-        return 0
-    w = spec.pow(v, (spec.order - 1) // 2)
-    return 1 if w == spec.one() else -1
-
-
-def _smallest_nonresidue(spec: FieldSpec):
-    for v in spec.elements():
-        if not spec.is_zero(v) and _legendre(spec, v) == -1:
-            return v
-    raise AssertionError("no quadratic non-residue found in a field of odd order")
-
-
-def sqrt_in_field(spec: FieldSpec, v):
-    """A square root of v, or None.
-
-    Odd characteristic uses Tonelli-Shanks seeded with the canonically
-    smallest non-residue, so the output is deterministic; characteristic 2
-    inverts the Frobenius.  Rationals test numerator and denominator for
-    perfect squares.  Of the two roots +/-r, the one with the smaller
-    canonical index is returned.
-    """
-    if spec.kind == "rationals":
-        return _sqrt_fraction(v)
-    if spec.p == 2:
-        return spec.pow(v, spec.order // 2)  # x -> x^(2^(K-1)) inverts squaring
-    if spec.is_zero(v):
-        return spec.zero()
-    if _legendre(spec, v) != 1:
-        return None
-    q = spec.order
-    t, s = q - 1, 0
-    while t % 2 == 0:
-        t //= 2
-        s += 1
-    z = spec.pow(_smallest_nonresidue(spec), t)
-    x = spec.pow(v, (t + 1) // 2)
-    b = spec.pow(v, t)
-    while b != spec.one():
-        m, bb = 0, b
-        while bb != spec.one():
-            bb = spec.mul(bb, bb)
-            m += 1
-        for _ in range(s - m - 1):
-            z = spec.mul(z, z)
-        x = spec.mul(x, z)
-        z = spec.mul(z, z)
-        b = spec.mul(b, z)
-        s = m
-    other = spec.neg(x)
-    if spec.element_index(other) < spec.element_index(x):
-        x = other
-    return x
-
-
-def _trace(spec: FieldSpec, v):
-    """Absolute trace to GF(2) of v in GF(2^K)."""
-    t = v
-    acc = v
-    for _ in range(spec.k - 1):
-        t = spec.mul(t, t)
-        acc = spec.add(acc, t)
-    return acc
-
-
-def _artin_schreier_root(spec: FieldSpec, d):
-    """u with u^2 + u = d over GF(2^K), or None if the trace of d is 1."""
-    if spec.is_zero(_trace(spec, d)):
-        theta = None
-        for cand in spec.elements():
-            if _trace(spec, cand) == spec.one():
-                theta = cand
-                break
-        # K odd would allow the half-trace shortcut; this form works for all K
-        powers_d = [d]
-        for _ in range(spec.k - 1):
-            powers_d.append(spec.mul(powers_d[-1], powers_d[-1]))
-        u = spec.zero()
-        theta_pow = theta
-        for i in range(spec.k - 1):
-            s_i = spec.zero()
-            for j in range(i + 1, spec.k):
-                s_i = spec.add(s_i, powers_d[j])
-            u = spec.add(u, spec.mul(s_i, theta_pow))
-            theta_pow = spec.mul(theta_pow, theta_pow)
-        return u
-    return None
-
-
 def solve_quadratic(a: FieldElement, b: FieldElement, c: FieldElement) -> list[FieldElement]:
     """All roots of a t^2 + b t + c in the coefficients' field, sorted.
 
-    Characteristic 2 with b != 0 goes through the Artin-Schreier trace test;
-    b == 0 there is a perfect square.  Odd characteristic and the rationals
-    go through the discriminant.  The returned list has 0, 1 or 2 distinct
-    roots (a double root appears once).
+    Finite fields use the root finder of ``poly`` on the degree-2
+    polynomial; the rationals go through the discriminant.  The returned
+    list has 0, 1 or 2 distinct roots (a double root appears once).
     """
     spec = a.spec
     if spec != b.spec or spec != c.spec:
         raise UsageError("coefficients must share one field")
     if not a:
         raise UsageError("degenerate quadratic: a = 0")
-    av, bv, cv = a.value, b.value, c.value
-    if spec.is_finite and spec.p == 2:
-        if spec.is_zero(bv):
-            r = sqrt_in_field(spec, spec.div(cv, av))  # t^2 = c/a, unique root
-            return [FieldElement(spec, r)]
-        scale = spec.div(bv, av)  # t = scale * u turns it into u^2 + u = d
-        d = spec.div(spec.mul(av, cv), spec.mul(bv, bv))
-        u = _artin_schreier_root(spec, d)
-        if u is None:
-            return []
-        r1 = spec.mul(scale, u)
-        r2 = spec.add(r1, scale)
-        roots = [FieldElement(spec, r1), FieldElement(spec, r2)]
-    else:
-        disc = spec.sub(spec.mul(bv, bv), spec.mul(spec.from_int(4), spec.mul(av, cv)))
-        if spec.kind == "rationals":
-            s = _sqrt_fraction(disc)
-        else:
-            s = sqrt_in_field(spec, disc)
-        if s is None:
-            return []
-        inv2a = spec.inv(spec.mul(spec.from_int(2), av))
-        r1 = spec.mul(spec.sub(s, bv), inv2a)
-        r2 = spec.mul(spec.sub(spec.neg(s), bv), inv2a)
-        roots = [FieldElement(spec, r1)]
-        if r2 != r1:
-            roots.append(FieldElement(spec, r2))
     if spec.is_finite:
-        roots.sort(key=lambda e: spec.element_index(e.value))
-    else:
-        roots.sort(key=lambda e: e.value)
-    return roots
+        # poly imports this module when it loads, so the import waits for the call
+        from .poly import Poly, roots_by_degree
+
+        return roots_by_degree(Poly(spec, [c.value, b.value, a.value]), 1).get(1, [])
+    av, bv, cv = a.value, b.value, c.value
+    s = _sqrt_fraction(bv * bv - 4 * av * cv)
+    if s is None:
+        return []
+    return [FieldElement(QQ, r) for r in sorted({(s - bv) / (2 * av), (-s - bv) / (2 * av)})]

@@ -50,34 +50,6 @@ def bareiss_det(rows: list[list[Poly]]) -> Poly:
     return det if sign > 0 else -det
 
 
-class _Quotient:
-    """k[x]/(h) with h over a finite field; residues are reduced Polys."""
-
-    def __init__(self, h: Poly):
-        self.h = h
-        self.dom = h.dom
-
-    def red(self, f: Poly) -> Poly:
-        return f % self.h
-
-    def mul(self, a: Poly, b: Poly) -> Poly:
-        return (a * b) % self.h
-
-    def add(self, a: Poly, b: Poly) -> Poly:
-        return a + b
-
-    def neg(self, a: Poly) -> Poly:
-        return -a
-
-    @property
-    def one(self) -> Poly:
-        return Poly.one(self.dom)
-
-    @property
-    def zero(self) -> Poly:
-        return Poly.zero(self.dom)
-
-
 def berkowitz_det_mod(rows: list[list[Poly]], h: Poly) -> Poly:
     """det(rows) reduced mod h, computed division-free inside k[x]/(h).
 
@@ -85,43 +57,36 @@ def berkowitz_det_mod(rows: list[list[Poly]], h: Poly) -> Poly:
     determinant reduced mod h; the point is never to expand the full
     determinant when only divisibility by h is asked.
     """
-    ring = _Quotient(h)
+    one = Poly.one(h.dom)
     n = len(rows)
-    a = [[ring.red(e) for e in row] for row in rows]
-    vec = [ring.one]
+    a = [[e % h for e in row] for row in rows]
+    vec = [one]
     for i in range(n):
-        diag = a[i][i]
-        c = [ring.one, ring.neg(diag)]
+        c = [one, -a[i][i]]
         if i > 0:
             row_i = a[i][:i]
             w = [a[r][i] for r in range(i)]
             for _ in range(i):
-                acc = ring.zero
-                for t in range(i):
-                    acc = ring.add(acc, ring.mul(row_i[t], w[t]))
-                c.append(ring.neg(acc))
-                w = [
-                    _dot(ring, a[r][:i], w)
-                    for r in range(i)
-                ]
+                c.append(-_dot_mod(row_i, w, h))
+                w = [_dot_mod(a[r][:i], w, h) for r in range(i)]
         new = []
         for r in range(i + 2):
-            acc = ring.zero
+            acc = Poly.zero(h.dom)
             for k, vk in enumerate(vec):
                 if 0 <= r - k < len(c):
-                    acc = ring.add(acc, ring.mul(c[r - k], vk))
+                    acc = acc + (c[r - k] * vk) % h
             new.append(acc)
         vec = new
     det = vec[n]
     if n % 2 == 1:
-        det = ring.neg(det)
-    return ring.red(det)
+        det = -det
+    return det % h
 
 
-def _dot(ring, xs, ys):
-    acc = ring.zero
+def _dot_mod(xs: list[Poly], ys: list[Poly], h: Poly) -> Poly:
+    acc = Poly.zero(h.dom)
     for x, y in zip(xs, ys):
-        acc = ring.add(acc, ring.mul(x, y))
+        acc = acc + (x * y) % h
     return acc
 
 

@@ -68,6 +68,7 @@ class TestExitCodes:
         "curve, argv",
         [
             (EX1_TEXT, ["scan", "--n-from", "7", "--n-to", "8", "--primes", "a,b"]),
+            (EX1_TEXT, ["scan", "--char", "5", "--n-from", "6", "--n-to", "8", "--primes", "3,7,11"]),
             (EX1_TEXT, ["torsion", "rank-at", "--N", "5", "--x0", "zz"]),
             (EX1_TEXT, ["torsion", "rank-at", "--N", "5", "--x0", "1/0"]),
             (EX1_TEXT, ["torsion", "rank-at", "--char", "7", "--N", "5", "--x0", "1,2,x"]),
@@ -76,7 +77,7 @@ class TestExitCodes:
             (b"char: abc\nP: 0,0,0,0,0,1\nQ: 1\n", ["torsion", "count", "--N", "5"]),
             (b"char: 0\nP: 0,0,0,0,0,1\nQ: 1  # \xff\n", ["torsion", "count", "--N", "5"]),
         ],
-        ids=["primes", "x0-text", "x0-zero-den", "x0-ext", "P-text", "Q-fraction", "char-text", "not-utf8"],
+        ids=["primes", "scan-char", "x0-text", "x0-zero-den", "x0-ext", "P-text", "Q-fraction", "char-text", "not-utf8"],
     )
     def test_bad_input_is_usage_error(self, capsys, tmp_path, curve, argv):
         path = tmp_path / "in.curve"

@@ -11,7 +11,6 @@ from hyptorsion.exactnum import (
     make_extension,
     prime_field,
     solve_quadratic,
-    sqrt_in_field,
 )
 
 
@@ -51,6 +50,43 @@ class TestMakeExtension:
                 found = tuple(tail + [1])
                 break
         assert spec.modulus == found
+
+    def test_first_irreducible_up_to_4096(self):
+        # every p^k <= 4096 with k >= 2 against trial division by all monic
+        # polynomials of degree 1..k/2
+        def monic(p, k, n):
+            tail = []
+            for _ in range(k):
+                tail.append(n % p)
+                n //= p
+            return tail + [1]
+
+        def divides(d, f, p):
+            f = list(f)
+            for i in range(len(f) - len(d), -1, -1):
+                q = f[i + len(d) - 1]
+                if q:
+                    for j, dj in enumerate(d):
+                        f[i + j] = (f[i + j] - q * dj) % p
+            return not any(f)
+
+        def first_irreducible(p, k):
+            divisors = [monic(p, d, n) for d in range(1, k // 2 + 1) for n in range(p**d)]
+            for n in range(p**k):
+                f = monic(p, k, n)
+                if not any(divides(d, f, p) for d in divisors):
+                    return tuple(f)
+
+        checked = 0
+        for p in range(2, 65):
+            if any(p % d == 0 for d in range(2, p)):
+                continue
+            k = 2
+            while p**k <= 4096:
+                assert make_extension(p, k).modulus == first_irreducible(p, k), (p, k)
+                checked += 1
+                k += 1
+        assert checked == 40
 
     def test_rejects_bad_input(self):
         with pytest.raises(UsageError):
@@ -149,6 +185,47 @@ class TestSolveQuadratic:
             got = sorted((r.value for r in solve_quadratic(E(spec, a), E(spec, b), E(spec, c))), key=spec.element_index)
             assert got == self._brute(spec, a, b, c)
 
+    LARGE = [prime_field(2**61 - 1), prime_field(4294967291), make_extension(911, 2), make_extension(911, 4), make_extension(2, 16)]
+
+    @pytest.mark.parametrize("spec", LARGE, ids=repr)
+    def test_factored_quadratics_large_fields(self, spec):
+        rng = random.Random(spec.order % 1000)
+        for i in range(12):
+            a = spec.element_from_index(rng.randrange(1, spec.order))
+            r1 = spec.element_from_index(rng.randrange(spec.order))
+            r2 = r1 if i % 4 == 0 else spec.element_from_index(rng.randrange(spec.order))
+            b = spec.neg(spec.mul(a, spec.add(r1, r2)))
+            c = spec.mul(a, spec.mul(r1, r2))
+            roots = solve_quadratic(E(spec, a), E(spec, b), E(spec, c))
+            assert [r.value for r in roots] == sorted({r1, r2}, key=spec.element_index)
+            assert all(r.spec == spec for r in roots)
+
+    @pytest.mark.parametrize("spec", LARGE, ids=repr)
+    def test_root_count_matches_criterion_large_fields(self, spec):
+        # odd q: Euler's criterion on the discriminant; even q: b = 0 gives one
+        # root, otherwise two roots iff the absolute trace of ac/b^2 is 0
+        rng = random.Random(spec.order % 997)
+        q = spec.order
+        for _ in range(12):
+            a, b, c = (spec.element_from_index(rng.randrange(lo, q)) for lo in (1, 0, 0))
+            roots = solve_quadratic(E(spec, a), E(spec, b), E(spec, c))
+            for r in roots:
+                t = r.value
+                assert spec.is_zero(spec.add(spec.mul(a, spec.mul(t, t)), spec.add(spec.mul(b, t), c)))
+            if q % 2:
+                disc = spec.sub(spec.mul(b, b), spec.mul(spec.from_int(4), spec.mul(a, c)))
+                expected = 1 if spec.is_zero(disc) else (2 if spec.pow(disc, (q - 1) // 2) == spec.one() else 0)
+            elif spec.is_zero(b):
+                expected = 1
+            else:
+                d = spec.div(spec.mul(a, c), spec.mul(b, b))
+                tr, t = d, d
+                for _ in range(spec.k - 1):
+                    t = spec.mul(t, t)
+                    tr = spec.add(tr, t)
+                expected = 2 if spec.is_zero(tr) else 0
+            assert len(roots) == expected, (a, b, c)
+
     @pytest.mark.slow
     def test_completeness_exhaustive_all_fields_up_to_81(self):
         specs = []
@@ -216,16 +293,18 @@ class TestFrobeniusAndSqrt:
     @pytest.mark.parametrize("spec", [prime_field(13), make_extension(3, 2), make_extension(2, 4), prime_field(17)])
     def test_sqrt_roundtrip(self, spec):
         rng = random.Random(2)
+        one, zero = E(spec, spec.one()), E(spec, spec.zero())
         for _ in range(40):
             v = spec.element_from_index(rng.randrange(spec.order))
             sq = spec.mul(v, v)
-            r = sqrt_in_field(spec, sq)
-            assert r is not None and spec.mul(r, r) == sq
+            roots = solve_quadratic(one, zero, E(spec, spec.neg(sq)))
+            assert E(spec, v) in roots
+            assert all(spec.mul(r.value, r.value) == sq for r in roots)
 
     def test_sqrt_deterministic(self):
         spec = prime_field(41)
-        vals = [sqrt_in_field(spec, spec.from_int(2)) for _ in range(3)]
-        assert len(set(vals)) == 1
+        vals = [tuple(r.value for r in solve_quadratic(E(spec, 1), E(spec, 0), E(spec, -2))) for _ in range(3)]
+        assert len(set(vals)) == 1 and len(vals[0]) == 2
 
 
 class TestFieldElementOps:
