@@ -24,7 +24,7 @@ import argparse
 import json
 import sys
 
-from .curve import HyperellipticModel, model_from_text
+from .curve import HyperellipticModel, model_from_text, resolve_char
 from .divpoly import cantor_P, delta
 from .errors import TheoremViolation, UsageError
 from .exactnum import FieldElement, QQ, make_extension, prime_field
@@ -115,15 +115,6 @@ def _load_model(path: str) -> HyperellipticModel:
         raise UsageError(f"cannot read curve file: {e}") from e
 
 
-def _target_char(model: HyperellipticModel, arg_char: int | None) -> int:
-    file_char = model.field.char
-    if arg_char is None:
-        return file_char
-    if file_char != 0 and arg_char != file_char:
-        raise UsageError(f"curve file is over characteristic {file_char}; --char must match")
-    return arg_char
-
-
 def _poly_json(f: Poly, char: int, N: int) -> dict:
     return {
         "degree": f.degree,
@@ -173,7 +164,7 @@ def _dispatch(args) -> int:
     cmd = args.command
     if cmd == "divpoly":
         model = _load_model(args.curve)
-        char = _target_char(model, args.char)
+        char = resolve_char(model, args.char)
         f = delta(model, args.N, char) if args.sub == "delta" else cantor_P(model, args.N, char)
         _emit(args, _poly_json(f, char, args.N), str(f))
         return 0
@@ -193,7 +184,7 @@ def _dispatch(args) -> int:
             _emit(args, payload, "\n".join(f"{k}: {v}" for k, v in payload.items()))
             return 0
         model = _load_model(args.curve)
-        char = _target_char(model, args.char)
+        char = resolve_char(model, args.char)
         if args.sub == "utilde":
             locus = utilde(model, args.N, char)
             payload = _poly_json(locus.utilde, char, args.N)
@@ -232,7 +223,7 @@ def _dispatch(args) -> int:
 
     if cmd == "jacobian":
         model = _load_model(args.curve)
-        char = _target_char(model, args.char)
+        char = resolve_char(model, args.char)
         rep = verify_utilde(model, args.N, char)
         rows = [
             {

@@ -416,15 +416,17 @@ class FieldSpec:
 
 QQ = FieldSpec("rationals")
 
+FIELD_CACHE_SIZE = 256  # fields (and, in poly, embeddings) kept; least recently used evicted
 
-@lru_cache(maxsize=None)
+
+@lru_cache(maxsize=FIELD_CACHE_SIZE)
 def prime_field(p: int) -> FieldSpec:
     if not is_prime(p):
         raise UsageError(f"{p} is not prime")
     return FieldSpec("prime", p=p)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=FIELD_CACHE_SIZE)
 def make_extension(p: int, k: int) -> FieldSpec:
     """GF(p^k) with the first monic irreducible modulus in canonical order.
 

@@ -20,12 +20,13 @@ Everything here is pure; polynomials never mutate after construction.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, gcd, lcm
 
 import numpy as np
 
 from .errors import InexactDivisionError, UsageError
-from .exactnum import QQ, FieldElement, FieldSpec, factor_integer, make_extension
+from .exactnum import FIELD_CACHE_SIZE, QQ, FieldElement, FieldSpec, factor_integer, make_extension
 
 __all__ = [
     "ZZ",
@@ -716,11 +717,36 @@ def _prem(a: Poly, b: Poly) -> Poly:
     return Poly(ZZ, rem)
 
 
-def gcd_primitive(f: Poly, g: Poly) -> Poly:
-    """Primitive gcd over ZZ[x] (positive leading coefficient).
+def _prs(A: Poly, B: Poly) -> tuple[Poly, int]:
+    """Subresultant PRS over ZZ[x] for deg A >= deg B, both primitive up to sign.
 
-    Subresultant polynomial remainder sequence on the primitive parts plus
-    content bookkeeping; intermediate coefficient growth stays polynomial.
+    Returns the last nonzero remainder, whose primitive part is gcd(A, B),
+    and Res(A, B), which is 0 exactly when that remainder is not constant.
+    The divisions by g·h^δ are exact, so coefficient growth stays polynomial.
+    """
+    s, g, h = 1, 1, 1
+    while B.degree > 0:
+        delta = A.degree - B.degree
+        if A.degree % 2 == 1 and B.degree % 2 == 1:
+            s = -s
+        R = _prem(A, B)
+        if R.is_zero:
+            return B, 0
+        divisor = g * h**delta
+        A, B = B, Poly(ZZ, [c // divisor for c in R.cs])
+        g = A.lc
+        if delta:
+            h = g**delta // h ** (delta - 1)
+    d = A.degree  # 0 only when both inputs are constants
+    return B, (s * (B.cs[0] ** d // h ** (d - 1)) if d else 1)
+
+
+def gcd_primitive(f: Poly, g: Poly) -> Poly:
+    """gcd over ZZ[x]: the content gcd times the primitive gcd, positive
+    leading coefficient.  A zero operand yields the other's primitive part.
+
+    The primitive gcd is the primitive part of the last remainder of the
+    subresultant PRS on the primitive parts.
     """
     if f.dom is not ZZ or g.dom is not ZZ:
         raise UsageError("gcd_primitive expects ZZ[x]")
@@ -732,21 +758,7 @@ def gcd_primitive(f: Poly, g: Poly) -> Poly:
     a, b = f.primitive(), g.primitive()
     if a.degree < b.degree:
         a, b = b, a
-    gg, h = 1, 1
-    while True:
-        delta = a.degree - b.degree
-        r = _prem(a, b)
-        if r.is_zero:
-            break
-        if r.degree == 0:
-            b = Poly.one(ZZ)
-            break
-        divisor = gg * h**delta
-        a, b = b, Poly(ZZ, [c // divisor for c in r.cs])
-        gg = a.lc
-        if delta:
-            h = gg**delta // h ** (delta - 1)
-    result = b.primitive()
+    result = _prs(a, b)[0].primitive()
     return Poly(ZZ, [c * cont for c in result.cs])
 
 
@@ -818,46 +830,29 @@ def squarefree_part(f: Poly) -> Poly:
 
 
 def _res_std_zz(a: Poly, b: Poly) -> int:
-    """Sylvester-determinant resultant over ZZ via the subresultant PRS."""
+    """Sylvester-determinant resultant Res(a, b) over ZZ via the subresultant PRS."""
     if a.is_zero or b.is_zero:
         return 0
     if a.degree == 0:
         return a.cs[0] ** b.degree
     if b.degree == 0:
         return b.cs[0] ** a.degree
-    ca, cb = abs(a.content()), abs(b.content())
+    ca, cb = abs(a.content()), abs(b.content())  # primitive() would flip signs
     A = Poly(ZZ, [c // ca for c in a.cs])
     B = Poly(ZZ, [c // cb for c in b.cs])
-    s = 1
     t = ca**b.degree * cb**a.degree
     if A.degree < B.degree:
         if A.degree % 2 == 1 and B.degree % 2 == 1:
-            s = -s
+            t = -t
         A, B = B, A
-    g, h = 1, 1
-    while True:
-        dA, dB = A.degree, B.degree
-        delta = dA - dB
-        if dA % 2 == 1 and dB % 2 == 1:
-            s = -s
-        R = _prem(A, B)
-        if R.is_zero:
-            return 0
-        divisor = g * h**delta
-        A, B = B, Poly(ZZ, [c // divisor for c in R.cs])
-        g = A.lc
-        if delta:
-            h = g**delta // h ** (delta - 1)
-        if B.degree == 0:
-            break
-    h = B.cs[0] ** A.degree // h ** (A.degree - 1) if A.degree >= 1 else 1
-    return s * t * h
+    return t * _prs(A, B)[1]
 
 
 def resultant(f: Poly, g: Poly):
     """Res(f, g) = lc(g)^(deg f) * prod f(beta_i) over the roots of g.
 
-    Over ZZ the fraction-free subresultant sequence is used; over QQ the
+    Over ZZ it is read off the subresultant PRS that ``gcd_primitive`` also
+    runs, so a zero resultant costs no more than the gcd; over QQ the
     computation is routed through primitive integer parts; finite fields
     use a Euclidean recursion.  Res(f,g) = 0 exactly when f and g share a
     root (equivalently a nonconstant gcd).
@@ -970,9 +965,7 @@ def _split_roots(f: Poly) -> list:
     raise AssertionError("splitting candidates exhausted on a split polynomial")
 
 
-_EMBED_CACHE: dict = {}
-
-
+@lru_cache(maxsize=FIELD_CACHE_SIZE)
 def subfield_embedding(src: FieldSpec, dst: FieldSpec):
     """Field homomorphism GF(p^k) -> GF(p^K) with k | K, as a callable.
 
@@ -980,9 +973,6 @@ def subfield_embedding(src: FieldSpec, dst: FieldSpec):
     the source modulus inside the destination.  No compatibility across
     chains of such embeddings is promised; every computation here only ever
     needs a single step."""
-    key = (src, dst)
-    if key in _EMBED_CACHE:
-        return _EMBED_CACHE[key]
     if src.kind == "rationals" or dst.kind == "rationals":
         raise UsageError("embeddings are between finite fields")
     if src.p != dst.p or dst.k % src.k != 0:
@@ -1007,7 +997,6 @@ def subfield_embedding(src: FieldSpec, dst: FieldSpec):
                     acc = _dst.add(acc, _dst.mul(_dst.from_int(c), bp))
             return acc
 
-    _EMBED_CACHE[key] = fn
     return fn
 
 

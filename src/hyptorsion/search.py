@@ -10,8 +10,9 @@ Two tools:
 * ``characteristic_search`` finds the finitely many characteristics where
   the locus jumps beyond its characteristic-independent part: strip the
   rational gcd, F-factors and integer content from each stripped
-  subdeterminant, take pairwise integer resultants of the coprime
-  remainders, and factor their gcd.  Every exceptional prime divides that
+  subdeterminant, take the integer resultants of all pairs of remainders
+  (a zero resultant marks a pair sharing a factor and leaves the gcd
+  unchanged), and factor their gcd.  Every exceptional prime divides that
   gcd; each candidate is confirmed (or discarded) by recomputing the locus
   mod p, so the reported list is sound.
 """
@@ -19,6 +20,7 @@ Two tools:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import gcd
 
 from .curve import HyperellipticModel, integral_model, reduce_mod_p
@@ -138,42 +140,32 @@ def characteristic_search(
     for p_ in nonzero:
         g0 = p_.primitive() if g0 is None else gcd_primitive(g0, p_)
     generic = g0.map_to(QQ).monic()
-    FZ = (model.P * 4 + model.Q * model.Q).map_to(ZZ)
+    FZ = model.F.map_to(ZZ)
     remainders = []
     for p_ in nonzero:
         r = p_.primitive()
         if g0.degree > 0:
             r = strip_coprime(r, g0)
         r = strip_coprime(r, FZ)
-        remainders.append(r)
-    pairs = []
-    for i in range(len(remainders)):
-        for j in range(i + 1, len(remainders)):
-            ri, rj = remainders[i], remainders[j]
-            if ri.degree <= 0 or rj.degree <= 0:
-                continue
-            if gcd_primitive(ri, rj).degree == 0:
-                pairs.append((i, j))
-    note = ""
-    if not pairs:
-        nontrivial = [r for r in remainders if r.degree > 0]
-        if len(nontrivial) <= 1:
+        if r.degree > 0:
+            remainders.append(r)
+    # a pair sharing a factor has resultant 0, which leaves the gcd unchanged
+    res_gcd = 0
+    for ri, rj in combinations(remainders, 2):
+        res_gcd = gcd(res_gcd, resultant(ri, rj))
+    if res_gcd == 0:
+        if len(remainders) <= 1:
             note = "fewer than two nontrivial remainders; no pairwise resultants available"
-            res_gcd = 1 if len(nontrivial) <= 1 else 0
+            res_gcd = 1
         else:
             note = (
                 "remainders share a rational factor; reporting it via the generic part, "
                 "no resultant data"
             )
-            res_gcd = 0
         return CharSearchReport(
             N, generic, (), (), res_gcd, 1,
             tuple(sorted(content_factors)), (), note,
         )
-    res_gcd = 0
-    for i, j in pairs:
-        res_gcd = gcd(res_gcd, resultant(remainders[i], remainders[j]))
-    res_gcd = abs(res_gcd)
     factors, cofactor = factor_integer(res_gcd, trial_bound)
     candidates = tuple(sorted(factors))
     exceptional = []
@@ -198,5 +190,4 @@ def characteristic_search(
         cofactor,
         tuple(sorted(content_factors)),
         tuple(skipped),
-        note,
     )

@@ -59,7 +59,7 @@ def fresh_caches():
     import hyptorsion.poly as pl
 
     dp._SEQ_CACHE.clear()
-    pl._EMBED_CACHE.clear()
+    pl.subfield_embedding.cache_clear()
 
 
 def ex1():

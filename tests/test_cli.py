@@ -164,6 +164,17 @@ class TestOutputs:
         payload = json.loads(out)
         assert payload["is_torsion_x"] is True  # the generator of GF(16) is a locus root
 
+    @pytest.mark.parametrize("x0, torsion", [("1", True), ("2", False), ("3", None)])
+    def test_rank_at_prime_field_x0(self, capsys, ex1_file, x0, torsion):
+        # mod 7 the level-5 locus of ex1 is x^6 - x, and F = 4x^5 + 1 vanishes at 3
+        argv = ["torsion", "rank-at", "--curve", ex1_file, "--char", "7", "--N", "5", "--x0", x0, "--json"]
+        code, out, err = run_capture(capsys, argv)
+        if torsion is None:
+            assert code == 1 and err.startswith("usage error: F(x0) = 0")
+            return
+        assert code == 0
+        assert json.loads(out) == {"N": 5, "rank": 0 if torsion else 1, "max_rank": 1, "is_torsion_x": torsion}
+
     def test_jacobian_verify(self, capsys, ex1_file):
         code, out, _ = run_capture(
             capsys, ["jacobian", "verify", "--curve", ex1_file, "--char", "2", "--N", "5", "--json"]
@@ -190,8 +201,8 @@ class TestOutputs:
     def test_char_mismatch_rejected(self, capsys, tmp_path):
         path = tmp_path / "m.curve"
         path.write_text("char: 7\nP: 1,2,0,0,0,1\nQ: 0\n")
-        code, _, _ = run_capture(capsys, ["torsion", "count", "--curve", str(path), "--char", "3", "--N", "5"])
-        assert code == 1
+        code, _, err = run_capture(capsys, ["torsion", "count", "--curve", str(path), "--char", "3", "--N", "5"])
+        assert code == 1 and err == "usage error: model lives in characteristic 7; cannot compute in 3\n"
         code, out, _ = run_capture(capsys, ["torsion", "count", "--curve", str(path), "--N", "5"])
         assert code == 0  # defaults to the file's characteristic
 

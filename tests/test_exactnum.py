@@ -5,13 +5,16 @@ import pytest
 
 from hyptorsion.errors import UsageError
 from hyptorsion.exactnum import (
+    FIELD_CACHE_SIZE,
     QQ,
     FieldElement,
     frobenius,
+    is_prime,
     make_extension,
     prime_field,
     solve_quadratic,
 )
+from hyptorsion.poly import subfield_embedding
 
 
 def E(spec, v):
@@ -93,6 +96,21 @@ class TestMakeExtension:
             make_extension(4, 2)
         with pytest.raises(UsageError):
             make_extension(5, 0)
+
+
+class TestFieldCaches:
+    def test_bounded_and_evicted_fields_rebuild_equal(self):
+        primes = [p for p in range(10**6, 10**6 + 20 * FIELD_CACHE_SIZE) if is_prime(p)]
+        assert len(primes) > FIELD_CACHE_SIZE
+        first = prime_field(primes[0])
+        for p in primes:
+            prime_field(p)
+            assert prime_field.cache_info().currsize <= FIELD_CACHE_SIZE
+        rebuilt = prime_field(primes[0])  # evicted by now
+        assert rebuilt is not first
+        assert rebuilt == first and hash(rebuilt) == hash(first)
+        for cached in (make_extension, subfield_embedding):
+            assert cached.cache_info().maxsize == FIELD_CACHE_SIZE
 
 
 class TestFieldAxioms:

@@ -257,6 +257,44 @@ class TestHasseDerivative:
             assert not dom.is_zero(hasse_derivative(f, n)(lam))
 
 
+def _zz_poly(draw, deg, bound):
+    """A ZZ polynomial of degree exactly deg, leading coefficient of either sign."""
+    cs = draw(st.lists(st.integers(-bound, bound), min_size=deg, max_size=deg))
+    lc = draw(st.integers(1, bound)) * draw(st.sampled_from([1, -1]))
+    return Poly(ZZ, cs + [lc])
+
+
+@st.composite
+def zz_pairs(draw):
+    """Nonzero (f, g) over ZZ in four shapes: a constructed common factor,
+    random (mostly coprime), a constant operand, and both degrees odd with
+    deg f < deg g (the resultant's swap sign).  Each side also gets a
+    content of either sign."""
+    shape = draw(st.sampled_from(["common", "random", "constant", "odd-swap"]))
+    if shape == "odd-swap":
+        df = draw(st.sampled_from([1, 3, 5]))
+        dg = draw(st.sampled_from([d for d in (3, 5, 7) if d > df]))
+    elif shape == "constant":
+        df, dg = 0, draw(st.integers(0, 6))
+        if draw(st.booleans()):
+            df, dg = dg, df
+    else:
+        df, dg = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    common = _zz_poly(draw, draw(st.integers(1, 3)), 9) if shape == "common" else Poly.one(ZZ)
+    contents = st.sampled_from([1, -1, 2, -3, 6, -12])
+    f = (_zz_poly(draw, df, 40) * common).scale(draw(contents))
+    g = (_zz_poly(draw, dg, 40) * common).scale(draw(contents))
+    return f, g
+
+
+def _desc(f):
+    return list(reversed(f.cs))
+
+
+_ZZ_FUZZ = settings(max_examples=200, deadline=None, derandomize=True, database=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
 class TestGcd:
     def test_examples(self):
         xq = Poly.x(QQ)
@@ -284,6 +322,16 @@ class TestGcd:
             assert rem.is_zero
             _, rem = divmod(got.map_to(QQ), c.primitive().map_to(QQ))
             assert rem.is_zero
+
+    @_ZZ_FUZZ
+    @given(zz_pairs())
+    def test_gcd_primitive_fuzz_against_sympy(self, fg):
+        euclid = pytest.importorskip("sympy.polys.euclidtools")
+        K = pytest.importorskip("sympy.polys.domains").ZZ
+        f, g = fg
+        got = gcd_primitive(f, g)
+        assert _desc(got) == euclid.dup_gcd(_desc(f), _desc(g), K)
+        assert got == gcd_primitive(g, f)
 
 
 class TestSquarefree:
@@ -338,6 +386,24 @@ class TestResultant:
             if f.is_zero or g.is_zero or f.cs[-1] == 0 or g.cs[-1] == 0:
                 continue
             assert resultant(f, g) == self._sylvester_oracle(f, g)
+
+    @_ZZ_FUZZ
+    @given(zz_pairs())
+    def test_fuzz_against_sympy_and_sylvester(self, fg):
+        euclid = pytest.importorskip("sympy.polys.euclidtools")
+        K = pytest.importorskip("sympy.polys.domains").ZZ
+        f, g = fg
+        r = resultant(f, g)
+        # resultant(f, g) is the textbook Res(g, f) = (-1)^(mn) Res(f, g).
+        # sympy 1.14's dup_resultant(a, b) drops that sign when deg a < deg b
+        # and both are odd, so it is called with the larger degree first.
+        a, b = (g, f) if g.degree >= f.degree else (f, g)
+        sign = 1 if a is g else (-1) ** (f.degree * g.degree)
+        assert r == sign * euclid.dup_resultant(_desc(a), _desc(b), K)
+        if f.degree + g.degree > 0:
+            assert r == self._sylvester_oracle(f, g)
+        assert resultant(g, f) == (-1) ** (f.degree * g.degree) * r
+        assert (r == 0) == (gcd_primitive(f, g).degree > 0)
 
     def test_rational_and_finite_agree_with_integer(self, rng):
         for _ in range(20):

@@ -1,6 +1,9 @@
+from math import gcd
+
+import hyptorsion.search as search
 from hyptorsion.curve import reduce_mod_p
 from hyptorsion.exactnum import QQ, prime_field
-from hyptorsion.poly import Poly, ZZ
+from hyptorsion.poly import Poly, ZZ, resultant
 from hyptorsion.search import characteristic_search, factor_integer, reduction_scan
 from hyptorsion.torsion import utilde
 from conftest import random_integral_model
@@ -78,6 +81,38 @@ class TestCharacteristicSearch:
         assert rep.generic_factor == xq * (xq**5 - 1)
         assert rep.exceptional_primes == ()
         assert 5 in rep.common_content_primes  # total vanishing handled by reduction
+
+    # Constructed stripped subdeterminants for ex1 at N = 7 (three of them),
+    # each factor coprime to F = 4x^5 + 1: the search only sees pi_subdet.
+    _X = Poly.x(ZZ)
+    _A, _B, _C = _X + 2, _X**2 + 5, _X - 3
+
+    def _search_with(self, monkeypatch, model, pis):
+        it = iter(pis)
+        monkeypatch.setattr(search, "pi_subdet", lambda *args: next(it))
+        return characteristic_search(model, 7)
+
+    def test_fewer_than_two_nontrivial_remainders(self, ex1_model, monkeypatch):
+        G = self._X**2 + 3
+        rep = self._search_with(monkeypatch, ex1_model, [G * self._A, G, G.scale(-4)])
+        assert rep.note == "fewer than two nontrivial remainders; no pairwise resultants available"
+        assert rep.generic_factor == G.map_to(QQ)
+        assert (rep.resultant_gcd, rep.candidate_primes, rep.exceptional_primes) == (1, (), ())
+
+    def test_remainders_share_a_rational_factor(self, ex1_model, monkeypatch):
+        A, B, C = self._A, self._B, self._C
+        rep = self._search_with(monkeypatch, ex1_model, [A * B, B * C, (C * A).scale(6)])
+        assert rep.note.startswith("remainders share a rational factor")
+        assert rep.generic_factor == Poly.one(QQ)
+        assert (rep.resultant_gcd, rep.candidate_primes, rep.exceptional_primes) == (0, (), ())
+
+    def test_pairs_sharing_a_factor_leave_the_gcd_unchanged(self, ex1_model, monkeypatch):
+        A, B, C = self._A, self._B, self._C
+        D = self._X + 1
+        rep = self._search_with(monkeypatch, ex1_model, [A * B, B * C, D])
+        assert rep.note == ""
+        assert rep.resultant_gcd == gcd(resultant(A * B, D), resultant(B * C, D)) == 6
+        assert rep.candidate_primes == (2, 3)
 
     def test_soundness_every_reported_prime_confirmed(self, ex1_model, ex5_model):
         for m, N in ((ex1_model, 7), (ex5_model, 7)):

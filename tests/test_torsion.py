@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+import hyptorsion.torsion as torsion
 from hyptorsion.curve import reduce_mod_p
-from hyptorsion.divpoly import delta
+from hyptorsion.divpoly import delta, pi_subdet, subdet_indices
 from hyptorsion.errors import UsageError
 from hyptorsion.exactnum import QQ, FieldElement, make_extension, prime_field
 from hyptorsion.jacobian import context_over, embed_point, scalar_mul
@@ -14,6 +15,7 @@ from hyptorsion.torsion import (
     count_tilde,
     divisibility_check,
     epsilon,
+    normalize_locus,
     rank_at,
     subdet_count_bound,
     utilde,
@@ -51,6 +53,34 @@ class TestUtilde:
         # turned this exact division into a false falsification
         loc = utilde(ex5_model, 16, p)
         assert loc.utilde == Poly.one(prime_field(p))
+
+    @pytest.mark.parametrize(
+        "curve, N, p, degree, candidates",
+        [("ex5", 14, 3, 8, [8, 22]), ("ex5", 12, 13, 42, [42]), ("ex1", 20, 11, 6, [6])],
+    )
+    def test_nonlinear_shortcut_matches_full_fold(self, request, monkeypatch, curve, N, p, degree, candidates):
+        # the running gcd stabilizes on candidates h of degree > 1, which the
+        # mod-h shortcut checks by Berkowitz inside GF(p)[x]/(h); on
+        # (ex5, 14, 3) a degree-22 candidate fails first
+        model = request.getfixturevalue(f"{curve}_model")
+        calls = []
+        original = torsion.berkowitz_det_mod
+
+        def counted(rows, h):
+            calls.append(h.degree)
+            return original(rows, h)
+
+        monkeypatch.setattr(torsion, "berkowitz_det_mod", counted)
+        loc = utilde(model, N, p)
+        full = None
+        for j in subdet_indices(model.g, N):
+            pi = pi_subdet(model, N, j, p)
+            if not pi.is_zero:
+                full = pi.monic() if full is None else poly_gcd(full, pi.monic())
+        assert loc.utilde == normalize_locus(full, model.F.map_to(prime_field(p)))
+        assert loc.degree == degree
+        assert sorted(set(calls)) == candidates
+        assert len(loc.subdets_used) < len(subdet_indices(model.g, N))
 
     def test_small_levels_guard(self, ex1_model, ex5_model):
         for m, Ns in ((ex1_model, (3, 4)), (ex5_model, (3, 4, 5, 6))):
