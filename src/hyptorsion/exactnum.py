@@ -25,7 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from itertools import compress
+from math import gcd, isqrt, prod
 
 from .errors import UsageError
 
@@ -73,7 +74,7 @@ def is_prime(n: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# integer factoring: trial division plus a Brent-Pollard rho stage
+# integer factoring: trial division by block gcds plus a Brent-Pollard rho stage
 
 
 def _rho_brent(n: int) -> int:
@@ -108,27 +109,56 @@ def _rho_brent(n: int) -> int:
 
 
 _RHO_LIMIT = 1 << 84  # beyond this, rho may never finish; report the cofactor
+_TRIAL_BLOCK = 1 << 14  # trial division takes one gcd per block of this many integers
+
+
+@lru_cache(maxsize=64)  # room for the ~62 blocks below the default trial bound
+def _block_product(k: int) -> int:
+    """The product of the primes in [k·W, (k+1)·W), W = ``_TRIAL_BLOCK``.
+
+    The block is sieved by every q up to the square root of its end; a
+    composite q only repeats the work of its prime factors.
+    """
+    lo, hi = max(k * _TRIAL_BLOCK, 2), (k + 1) * _TRIAL_BLOCK
+    sieve = bytearray([1]) * (hi - lo)
+    for q in range(2, isqrt(hi - 1) + 1):
+        start = max(q * q, -(-lo // q) * q)
+        sieve[start - lo :: q] = bytes(len(range(start, hi, q)))
+    return prod(compress(range(lo, hi), sieve))
 
 
 def factor_integer(n: int, trial_bound: int = 10**6, rho: bool = True):
     """(prime factor multiplicities, unfactored cofactor >= 1).
 
-    Trial division up to ``trial_bound``; remaining composites below a size
-    cap are split by Pollard rho.  Anything still composite and unsplit is
-    returned as the cofactor rather than silently dropped.
+    Trial division up to ``trial_bound``, one block of consecutive integers
+    at a time: a block whose prime product is coprime to n is skipped, and
+    otherwise its primes dividing that gcd are divided out in ascending
+    order.  Remaining composites below a size cap are split by Pollard rho.
+    Anything still composite and unsplit is returned as the cofactor rather
+    than silently dropped.
     """
     if n < 0:
         n = -n
     factors: dict[int, int] = {}
     if n in (0, 1):
         return factors, n if n else 0
-    d = 2
-    while d <= trial_bound and d * d <= n:
-        while n % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1 and d * d > n:
+    k, lo = 0, 2
+    while lo <= trial_bound and lo * lo <= n:
+        g_ = gcd(n, _block_product(k))
+        d = lo
+        # the block's primes below d are out of g_, so a d dividing it is prime
+        while g_ > 1 and d <= trial_bound:
+            if g_ % d == 0:
+                g_ //= d
+                while n % d == 0:
+                    factors[d] = factors.get(d, 0) + 1
+                    n //= d
+            d += 1
+        k += 1
+        lo = k * _TRIAL_BLOCK
+    # every prime below t is divided out, so t² > n leaves n prime
+    t = min(lo, trial_bound + 1)
+    if n > 1 and t * t > n:
         factors[n] = factors.get(n, 0) + 1
         n = 1
     stack = [n] if n > 1 else []

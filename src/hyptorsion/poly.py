@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, lcm
+from math import comb, gcd, isqrt, lcm
 
 import numpy as np
 
@@ -741,24 +741,58 @@ def _prs(A: Poly, B: Poly) -> tuple[Poly, int]:
     return B, (s * (B.cs[0] ** d // h ** (d - 1)) if d else 1)
 
 
+_HEU_TRIES = 6  # evaluation points GCDHEU tries before the PRS takes over
+
+
+def _heu_gcd(A: Poly, B: Poly) -> Poly | None:
+    """GCDHEU (Char, Geddes & Gonnet, J. Symb. Comp. 1989): the primitive
+    gcd of nonzero A and B over ZZ[x], both primitive up to sign, or None
+    after ``_HEU_TRIES`` evaluation points.
+
+    At each point xi the integer gcd of A(xi) and B(xi) is read back as a
+    polynomial through its symmetric xi-adic digits.  Every xi is at least
+    2·min(|A|, |B|) + 2 (max norms), and then a candidate whose primitive
+    part divides both A and B is their gcd, so the two exact divisions
+    certify it.  The first xi adds 29 rather than 2, as sympy's heuristic
+    gcd does.
+    """
+    xi = 2 * min(max(map(abs, A.cs)), max(map(abs, B.cs))) + 29
+    for _ in range(_HEU_TRIES):
+        gamma = gcd(A(xi), B(xi))
+        digits = []
+        while gamma:
+            d = gamma % xi
+            if d > xi // 2:
+                d -= xi
+            digits.append(d)
+            gamma = (gamma - d) // xi
+        G = Poly(ZZ, digits).primitive()
+        if _divmod_zz(A, G)[1].is_zero and _divmod_zz(B, G)[1].is_zero:
+            return G
+        xi = xi * 73794 * isqrt(isqrt(xi)) // 27011
+    return None
+
+
 def gcd_primitive(f: Poly, g: Poly) -> Poly:
     """gcd over ZZ[x]: the content gcd times the primitive gcd, positive
-    leading coefficient.  A zero operand yields the other's primitive part.
+    leading coefficient.  A zero operand yields the other operand, content
+    kept, with its sign made positive; gcd(0, 0) = 0.
 
-    The primitive gcd is the primitive part of the last remainder of the
-    subresultant PRS on the primitive parts.
+    The primitive gcd comes from ``_heu_gcd`` on the primitive parts, or,
+    when that gives up, from the last remainder of the subresultant PRS.
     """
     if f.dom is not ZZ or g.dom is not ZZ:
         raise UsageError("gcd_primitive expects ZZ[x]")
-    if f.is_zero:
-        return g.primitive()
-    if g.is_zero:
-        return f.primitive()
+    if f.is_zero or g.is_zero:
+        h = g if f.is_zero else f
+        return -h if h and h.lc < 0 else h
     cont = gcd(f.content(), g.content())
     a, b = f.primitive(), g.primitive()
-    if a.degree < b.degree:
-        a, b = b, a
-    result = _prs(a, b)[0].primitive()
+    result = _heu_gcd(a, b)
+    if result is None:
+        if a.degree < b.degree:
+            a, b = b, a
+        result = _prs(a, b)[0].primitive()
     return Poly(ZZ, [c * cont for c in result.cs])
 
 
@@ -830,7 +864,8 @@ def squarefree_part(f: Poly) -> Poly:
 
 
 def _res_std_zz(a: Poly, b: Poly) -> int:
-    """Sylvester-determinant resultant Res(a, b) over ZZ via the subresultant PRS."""
+    """Sylvester-determinant resultant Res(a, b) over ZZ: 0 when ``_heu_gcd``
+    certifies a common factor, otherwise read off the subresultant PRS."""
     if a.is_zero or b.is_zero:
         return 0
     if a.degree == 0:
@@ -845,16 +880,19 @@ def _res_std_zz(a: Poly, b: Poly) -> int:
         if A.degree % 2 == 1 and B.degree % 2 == 1:
             t = -t
         A, B = B, A
+    G = _heu_gcd(A, B)
+    if G is not None and G.degree > 0:
+        return 0
     return t * _prs(A, B)[1]
 
 
 def resultant(f: Poly, g: Poly):
     """Res(f, g) = lc(g)^(deg f) * prod f(beta_i) over the roots of g.
 
-    Over ZZ it is read off the subresultant PRS that ``gcd_primitive`` also
-    runs, so a zero resultant costs no more than the gcd; over QQ the
-    computation is routed through primitive integer parts; finite fields
-    use a Euclidean recursion.  Res(f,g) = 0 exactly when f and g share a
+    Over ZZ a zero resultant costs one certified heuristic gcd (GCDHEU, as
+    in ``gcd_primitive``) and a nonzero one is read off the subresultant
+    PRS; over QQ the computation is routed through primitive integer parts;
+    finite fields use a Euclidean recursion.  Res(f,g) = 0 exactly when f and g share a
     root (equivalently a nonconstant gcd).
     """
     if f.is_zero or g.is_zero:

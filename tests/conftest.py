@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import hyptorsion.poly as poly
 from hyptorsion.curve import new_model
 from hyptorsion.errors import BadModelError
 from hyptorsion.exactnum import QQ, prime_field
@@ -86,6 +87,16 @@ def classical_division_polys(a, b, nmax):
         else:
             w[n] = w[m] * (w[m + 2] * w[m - 1] ** 2 - w[m - 2] * w[m + 1] ** 2)
     return w
+
+
+@pytest.fixture
+def prs_calls(monkeypatch):
+    """The argument pairs of every subresultant PRS (``poly._prs``) run
+    during the test."""
+    calls = []
+    prs = poly._prs
+    monkeypatch.setattr(poly, "_prs", lambda A, B: calls.append((A, B)) or prs(A, B))
+    return calls
 
 
 @pytest.fixture

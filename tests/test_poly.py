@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import hyptorsion.poly as poly
 from hyptorsion.errors import InexactDivisionError, UsageError
 from hyptorsion.exactnum import QQ, make_extension, prime_field
 from hyptorsion.linalg import bareiss_det, berkowitz_det_mod
@@ -266,11 +267,11 @@ def _zz_poly(draw, deg, bound):
 
 @st.composite
 def zz_pairs(draw):
-    """Nonzero (f, g) over ZZ in four shapes: a constructed common factor,
-    random (mostly coprime), a constant operand, and both degrees odd with
-    deg f < deg g (the resultant's swap sign).  Each side also gets a
-    content of either sign."""
-    shape = draw(st.sampled_from(["common", "random", "constant", "odd-swap"]))
+    """(f, g) over ZZ in five shapes: a constructed common factor, random
+    (mostly coprime), a constant operand, both degrees odd with deg f <
+    deg g (the resultant's swap sign), and one or both operands zero.  Each
+    side also gets a content of either sign."""
+    shape = draw(st.sampled_from(["common", "random", "constant", "odd-swap", "zero"]))
     if shape == "odd-swap":
         df = draw(st.sampled_from([1, 3, 5]))
         dg = draw(st.sampled_from([d for d in (3, 5, 7) if d > df]))
@@ -284,7 +285,21 @@ def zz_pairs(draw):
     contents = st.sampled_from([1, -1, 2, -3, 6, -12])
     f = (_zz_poly(draw, df, 40) * common).scale(draw(contents))
     g = (_zz_poly(draw, dg, 40) * common).scale(draw(contents))
+    if shape == "zero":
+        zero = Poly.zero(ZZ)
+        return draw(st.sampled_from([(f, zero), (zero, g), (zero, zero)]))
     return f, g
+
+
+@st.composite
+def zz_big_pairs(draw):
+    """(A·C, B·C) with coefficients of 200-900 bits and a constructed common
+    factor C, so GCDHEU's evaluation point is many machine words long."""
+    bound = 1 << draw(st.integers(200, 900))
+    C = _zz_poly(draw, draw(st.integers(1, 3)), bound)
+    A = _zz_poly(draw, draw(st.integers(0, 4)), bound)
+    B = _zz_poly(draw, draw(st.integers(0, 4)), bound)
+    return A * C, B * C
 
 
 def _desc(f):
@@ -311,6 +326,9 @@ class TestGcd:
     def test_gcd_primitive(self, rng):
         x = Poly.x(ZZ)
         assert gcd_primitive((x - 1) * (x + 2) * 6, (x - 1) * (x + 3) * 4) == (x - 1) * 2
+        zero = Poly.zero(ZZ)
+        assert gcd_primitive(6 * x, zero) == gcd_primitive(zero, -6 * x) == 6 * x
+        assert gcd_primitive(zero, zero).is_zero
         for _ in range(15):
             c = rand_poly(ZZ, rng.randint(1, 4), rng)
             a = rand_poly(ZZ, rng.randint(0, 4), rng)
@@ -324,7 +342,7 @@ class TestGcd:
             assert rem.is_zero
 
     @_ZZ_FUZZ
-    @given(zz_pairs())
+    @given(st.one_of(zz_pairs(), zz_big_pairs()))
     def test_gcd_primitive_fuzz_against_sympy(self, fg):
         euclid = pytest.importorskip("sympy.polys.euclidtools")
         K = pytest.importorskip("sympy.polys.domains").ZZ
@@ -332,6 +350,27 @@ class TestGcd:
         got = gcd_primitive(f, g)
         assert _desc(got) == euclid.dup_gcd(_desc(f), _desc(g), K)
         assert got == gcd_primitive(g, f)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(poly, "_HEU_TRIES", 0)  # the subresultant PRS alone
+            assert gcd_primitive(f, g) == got
+
+    def test_heu_gcd_retries_after_a_rejected_point(self, monkeypatch, prs_calls):
+        # the first point is 2·5 + 29 = 39 and A(39) = B(39), so the first
+        # candidate is A itself, which does not divide B; gcd(A, B) = 1
+        x = Poly.x(ZZ)
+        A, B = x**2 + 5, x**2 + x - 34
+        rejected = []
+        divmod_zz = poly._divmod_zz
+
+        def counting(a, b):
+            q, r = divmod_zz(a, b)
+            if not r.is_zero:
+                rejected.append(b)
+            return q, r
+
+        monkeypatch.setattr(poly, "_divmod_zz", counting)
+        assert gcd_primitive(A, B) == Poly.one(ZZ)
+        assert rejected == [A] and prs_calls == []
 
 
 class TestSquarefree:
@@ -388,12 +427,19 @@ class TestResultant:
             assert resultant(f, g) == self._sylvester_oracle(f, g)
 
     @_ZZ_FUZZ
-    @given(zz_pairs())
+    @given(st.one_of(zz_pairs(), zz_big_pairs()))
     def test_fuzz_against_sympy_and_sylvester(self, fg):
         euclid = pytest.importorskip("sympy.polys.euclidtools")
         K = pytest.importorskip("sympy.polys.domains").ZZ
         f, g = fg
+        if f.is_zero or g.is_zero:
+            with pytest.raises(UsageError):
+                resultant(f, g)
+            return
         r = resultant(f, g)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(poly, "_HEU_TRIES", 0)  # the subresultant PRS alone
+            assert resultant(f, g) == r
         # resultant(f, g) is the textbook Res(g, f) = (-1)^(mn) Res(f, g).
         # sympy 1.14's dup_resultant(a, b) drops that sign when deg a < deg b
         # and both are odd, so it is called with the larger degree first.

@@ -1,8 +1,9 @@
 from math import gcd
 
+import hyptorsion.exactnum as exactnum
 import hyptorsion.search as search
 from hyptorsion.curve import reduce_mod_p
-from hyptorsion.exactnum import QQ, prime_field
+from hyptorsion.exactnum import QQ, is_prime, prime_field
 from hyptorsion.poly import Poly, ZZ, resultant
 from hyptorsion.search import characteristic_search, factor_integer, reduction_scan
 from hyptorsion.torsion import utilde
@@ -24,6 +25,45 @@ class TestFactorInteger:
         p, q = 10_000_019, 10_000_079
         factors, cofactor = factor_integer(p * q, trial_bound=1000, rho=False)
         assert factors == {} and cofactor == p * q
+
+    @staticmethod
+    def _trial_loop(n, bound):
+        """factor_integer(n, bound, rho=False) by one n % d per odd d, the
+        loop that block gcds replaced; kept as the reference."""
+        n = abs(n)
+        factors = {}
+        d = 2
+        while d <= bound and d * d <= n:
+            while n % d == 0:
+                factors[d] = factors.get(d, 0) + 1
+                n //= d
+            d += 1 if d == 2 else 2
+        if n > 1 and (d * d > n or is_prime(n)):
+            factors[n] = factors.get(n, 0) + 1
+            n = 1
+        return list(factors.items()), n
+
+    def test_block_gcds_match_the_trial_loop(self, rng):
+        # primes on both sides of the first block boundaries (2^14, 2^15)
+        edge = [16381, 16411, 32749, 32771]
+        primes = [p for p in range(2, 3000) if is_prime(p)] + edge
+        for bound in (0, 1, 2, 7, 1000, 16383, 16384, 16385, 10**6):
+            cases = [0, 1, -12, 16381**2, 16381 * 16411, 32749**2 * 7]
+            for _ in range(30):
+                n = 1
+                for _ in range(rng.randrange(1, 6)):
+                    n *= rng.choice(primes) ** rng.randrange(1, 4)
+                cases.append(n * rng.choice([1, -1, rng.getrandbits(30)]))
+            if bound <= 16385:
+                cases += [rng.getrandbits(300) * rng.choice(primes) for _ in range(5)]
+            for n in cases:
+                factors, cofactor = factor_integer(n, bound, rho=False)
+                assert (list(factors.items()), cofactor) == self._trial_loop(n, bound), (n, bound)
+
+    def test_small_n_builds_only_the_first_block(self):
+        exactnum._block_product.cache_clear()
+        assert factor_integer(2**5 * 3**2 * 911)[0] == {2: 5, 3: 2, 911: 1}
+        assert exactnum._block_product.cache_info().currsize == 1
 
 
 class TestReductionScan:
@@ -113,6 +153,14 @@ class TestCharacteristicSearch:
         assert rep.note == ""
         assert rep.resultant_gcd == gcd(resultant(A * B, D), resultant(B * C, D)) == 6
         assert rep.candidate_primes == (2, 3)
+
+    def test_ex5_level11_runs_the_prs_only_on_coprime_pairs(self, ex5_model, prs_calls):
+        rep = characteristic_search(ex5_model, 11)
+        # the benchmark's golden report for (ex5, 11): 2 is exceptional, with locus x^7 + 1
+        assert [(p, u.cs) for p, u in rep.exceptional_primes] == [(2, (1, 0, 0, 0, 0, 0, 0, 1))]
+        assert (rep.candidate_primes, rep.unfactored_cofactor) == ((2, 5, 7, 11), 1)
+        # GCDHEU certifies the pairs that share a factor; only the 9 coprime ones need the PRS
+        assert len(prs_calls) <= 9
 
     def test_soundness_every_reported_prime_confirmed(self, ex1_model, ex5_model):
         for m, N in ((ex1_model, 7), (ex5_model, 7)):

@@ -9,6 +9,7 @@ from hyptorsion.errors import UsageError
 from hyptorsion.exactnum import QQ, FieldElement, make_extension, prime_field
 from hyptorsion.jacobian import context_over, embed_point, scalar_mul
 from hyptorsion.exactnum import solve_quadratic
+from hyptorsion.search import reduction_scan
 from hyptorsion.poly import Poly, ZZ, poly_gcd, roots_by_degree
 from hyptorsion.torsion import (
     bounds,
@@ -81,6 +82,17 @@ class TestUtilde:
         assert loc.degree == degree
         assert sorted(set(calls)) == candidates
         assert len(loc.subdets_used) < len(subdet_indices(model.g, N))
+
+    def test_x051_level12_char0_without_prs(self, x051_model, prs_calls):
+        # one gcd of degrees 126 and 132 with ~900-bit coefficients, certified 1 by GCDHEU
+        assert utilde(x051_model, 12, 0).utilde == Poly.one(QQ)
+        assert prs_calls == []
+
+    @pytest.mark.slow
+    def test_x051_level20_char0_agrees_with_witness_scan(self, x051_model):
+        assert utilde(x051_model, 20, 0).utilde == Poly.one(QQ)
+        (v,) = reduction_scan(x051_model, [20], [5, 7, 11, 13, 19, 23], compute_char0_followup=False)
+        assert v.verdict == "EMPTY"
 
     def test_small_levels_guard(self, ex1_model, ex5_model):
         for m, Ns in ((ex1_model, (3, 4)), (ex5_model, (3, 4, 5, 6))):
