@@ -15,9 +15,16 @@ times d) lives in ``poly``.
 
 This module holds scalar arithmetic only.  Quadratics over a finite field
 are solved by ``poly``'s root finder (Cantor-Zassenhaus); over the rationals
-by the discriminant.  The one polynomial loop left here is the extended
-Euclid inside ``FieldSpec.inv``, kept on coefficient lists: inversions are
-frequent and tiny, and ``Poly`` objects measured slower there.
+by the discriminant.
+
+GF(p^k) arithmetic takes one of two paths, chosen by the field's order q.
+Up to ``ZECH_MAX_ORDER`` elements, it is table-driven: each nonzero element
+is g^i for a fixed generator g, and Zech logarithms log(1 + g^i) (Huber,
+IEEE Trans. Inf. Theory 36, 1990) turn addition into lookups too.  Above
+that, a product is a schoolbook digit multiply reduced by the modulus, and
+an inverse is the extended Euclid on coefficient lists (inversions there are
+tiny, and ``Poly`` objects measured slower).  Values are canonical tuples on
+both paths.
 """
 
 from __future__ import annotations
@@ -224,18 +231,77 @@ def _is_irreducible(m: list[int], p: int) -> bool:
 # field specs
 
 
+def _power(mul, one, a, e: int):
+    """a^e for e >= 0 by square and multiply with ``mul``."""
+    result = one
+    while e:
+        if e & 1:
+            result = mul(result, a)
+        a = mul(a, a)
+        e >>= 1
+    return result
+
+
+ZECH_MAX_ORDER = 1 << 12  # GF(q) with q up to this many elements computes through Zech-log tables
+
+
+class _Zech:
+    """Zech-log tables of GF(q) for a generator g, n = q - 1.
+
+    ``exp[i]`` is g^i for 0 <= i < 2n (twice round, so a sum of two logs
+    indexes it unreduced), ``log`` maps each nonzero tuple to its exponent
+    in [0, n), ``zech[i]`` is log(1 + g^i) or None where 1 + g^i = 0, and
+    ``neg1`` is log(-1).
+    """
+
+    __slots__ = ("n", "exp", "log", "zech", "neg1")
+
+    def __init__(self, spec: FieldSpec):
+        p, q = spec.p, spec.order
+        n = q - 1
+        one = spec.one()
+        ells = factor_integer(n)[0]
+        # the first element in canonical order whose order is n (GF(q)* is cyclic)
+        for i in range(2, q):
+            g = spec.element_from_index(i)
+            if all(_power(spec._mul_digits, one, g, n // ell) != one for ell in ells):
+                break
+        exp = [one]
+        for _ in range(n - 1):
+            exp.append(spec._mul_digits(exp[-1], g))
+        self.n = n
+        self.log = {v: i for i, v in enumerate(exp)}
+        if len(self.log) != n:
+            raise ValueError(f"{spec!r} has no element of order {n}: its modulus is reducible")
+        self.exp = exp + exp
+        self.zech = []
+        for v in exp:
+            w = ((v[0] + 1) % p,) + v[1:]
+            self.zech.append(self.log[w] if any(w) else None)
+        self.neg1 = 0 if p == 2 else n // 2
+
+
 @dataclass(frozen=True)
 class FieldSpec:
     """One of the three scalar domains: rationals, GF(p), GF(p^k).
 
     ``modulus`` is the full ascending coefficient tuple of the monic defining
     polynomial (length k+1, last entry 1) when kind == "ext", else None.
+
+    Values of GF(p^k) are canonical tuples of k residues.  When q = p^k is at
+    most ``ZECH_MAX_ORDER``, the first arithmetic call builds Zech-log tables
+    (``_Zech``) and caches them on the spec, outside the dataclass fields, so
+    they take no part in equality, hashing or the repr, and the field cache
+    that bounds the specs bounds them too.  Larger fields multiply digit by
+    digit and invert by the extended Euclid.
     """
 
     kind: str  # "rationals" | "prime" | "ext"
     p: int | None = None
     k: int = 1
     modulus: tuple[int, ...] | None = None
+
+    _zech = None  # the _Zech tables once built, False for a field above ZECH_MAX_ORDER
 
     # -- basic structure ----------------------------------------------------
 
@@ -285,23 +351,51 @@ class FieldSpec:
 
     def is_zero(self, v) -> bool:
         if self.kind == "ext":
-            return all(c == 0 for c in v)
+            return not any(v)
         return v == 0
 
     # -- arithmetic on raw values -------------------------------------------
 
+    def _tables(self):
+        """The Zech-log tables of an "ext" field, built on first use; False
+        when q exceeds ``ZECH_MAX_ORDER``."""
+        z = self._zech
+        if z is None:
+            z = _Zech(self) if self.order <= ZECH_MAX_ORDER else False
+            object.__setattr__(self, "_zech", z)
+        return z
+
     def add(self, a, b):
         if self.kind == "ext":
-            p = self.p
-            return tuple((x + y) % p for x, y in zip(a, b))
+            z = self._zech or self._tables()
+            if not z:
+                p = self.p
+                return tuple((x + y) % p for x, y in zip(a, b))
+            if not any(a):
+                return b
+            if not any(b):
+                return a
+            la = z.log[a]
+            s = z.zech[(z.log[b] - la) % z.n]
+            return self.zero() if s is None else z.exp[la + s]
         if self.kind == "prime":
             return (a + b) % self.p
         return a + b
 
     def sub(self, a, b):
         if self.kind == "ext":
-            p = self.p
-            return tuple((x - y) % p for x, y in zip(a, b))
+            z = self._zech or self._tables()
+            if not z:
+                p = self.p
+                return tuple((x - y) % p for x, y in zip(a, b))
+            if not any(b):
+                return a
+            lb = z.log[b] + z.neg1  # log(-b), below 2n
+            if not any(a):
+                return z.exp[lb]
+            la = z.log[a]
+            s = z.zech[(lb - la) % z.n]
+            return self.zero() if s is None else z.exp[la + s]
         if self.kind == "prime":
             return (a - b) % self.p
         return a - b
@@ -314,11 +408,8 @@ class FieldSpec:
             return -a % self.p
         return -a
 
-    def mul(self, a, b):
-        if self.kind == "prime":
-            return a * b % self.p
-        if self.kind == "rationals":
-            return a * b
+    def _mul_digits(self, a, b):
+        """Schoolbook product of two GF(p^k) tuples, reduced by the modulus."""
         p, k = self.p, self.k
         prod = [0] * (2 * k - 1)
         for i, ai in enumerate(a):
@@ -333,6 +424,18 @@ class FieldSpec:
                     prod[i - k + j] -= c * m[j]
         return tuple(c % p for c in prod[:k])
 
+    def mul(self, a, b):
+        if self.kind == "prime":
+            return a * b % self.p
+        if self.kind == "rationals":
+            return a * b
+        z = self._zech or self._tables()
+        if not z:
+            return self._mul_digits(a, b)
+        if not any(a) or not any(b):
+            return self.zero()
+        return z.exp[z.log[a] + z.log[b]]
+
     def inv(self, a):
         if self.is_zero(a):
             raise ZeroDivisionError("inverse of zero")
@@ -340,6 +443,9 @@ class FieldSpec:
             return 1 / a
         if self.kind == "prime":
             return pow(a, self.p - 2, self.p)
+        z = self._zech or self._tables()
+        if z:
+            return z.exp[z.n - z.log[a]]
         p = self.p
         r0, r1 = list(self.modulus), _pnorm(list(a), p)
         s0, s1 = [], [1]
@@ -373,15 +479,13 @@ class FieldSpec:
         return self.mul(a, self.inv(b))
 
     def pow(self, a, e: int):
+        if self.kind == "ext" and any(a):
+            z = self._zech or self._tables()
+            if z:
+                return z.exp[z.log[a] * e % z.n]
         if e < 0:
             return self.pow(self.inv(a), -e)
-        result = self.one()
-        while e:
-            if e & 1:
-                result = self.mul(result, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return result
+        return _power(self.mul, self.one(), a, e)
 
     # -- enumeration, ordering, text form ------------------------------------
 
@@ -496,6 +600,10 @@ class FieldElement:
             value = Fraction(value)
         elif spec.kind == "prime" and isinstance(value, int):
             value = value % spec.p
+        elif spec.kind == "ext":
+            if not isinstance(value, tuple) or len(value) != spec.k or not all(isinstance(c, int) for c in value):
+                raise UsageError(f"an element of {spec!r} is a tuple of {spec.k} integers, not {value!r}")
+            value = tuple(c % spec.p for c in value)
         self.spec = spec
         self.value = value
 

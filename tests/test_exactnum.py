@@ -7,13 +7,17 @@ from hyptorsion.errors import UsageError
 from hyptorsion.exactnum import (
     FIELD_CACHE_SIZE,
     QQ,
+    ZECH_MAX_ORDER,
     FieldElement,
+    FieldSpec,
+    _power,
     frobenius,
     is_prime,
     make_extension,
     prime_field,
     solve_quadratic,
 )
+from hyptorsion.jacobian import verify_utilde
 from hyptorsion.poly import subfield_embedding
 
 
@@ -147,6 +151,153 @@ class TestFieldAxioms:
             else:
                 v = spec.element_from_index(rng.randrange(spec.order))
             assert spec.parse(spec.fmt(v)) == v
+
+    # -- Zech-log tables against the digit multiply and the Euclid inverse ---
+
+    @staticmethod
+    def _reference(spec):
+        """A copy of an "ext" spec barred from building tables, so it computes
+        by the digit multiply, the extended Euclid and tuple addition."""
+        ref = FieldSpec("ext", p=spec.p, k=spec.k, modulus=spec.modulus)
+        object.__setattr__(ref, "_zech", False)
+        return ref
+
+    @staticmethod
+    def _small_ext_fields(max_order):
+        out = []
+        for p in range(2, 65):
+            if is_prime(p):
+                k = 2
+                while p**k <= max_order:
+                    out.append(make_extension(p, k))
+                    k += 1
+        return out
+
+    def _assert_agree(self, spec, ref, pairs):
+        for a, b in pairs:
+            for op in ("add", "sub", "mul"):
+                assert getattr(spec, op)(a, b) == getattr(ref, op)(a, b), (spec, op, a, b)
+            assert spec.neg(a) == ref.neg(a)
+            if not spec.is_zero(a):
+                assert spec.inv(a) == ref.inv(a), (spec, a)
+                assert spec.div(b, a) == ref.div(b, a), (spec, b, a)
+
+    def test_tables_every_pair_up_to_64(self):
+        specs = self._small_ext_fields(64)
+        assert [s.order for s in specs] == [4, 8, 16, 32, 64, 9, 27, 25, 49]
+        for spec in specs:
+            els = list(spec.elements())
+            self._assert_agree(spec, self._reference(spec), [(a, b) for a in els for b in els])
+            assert spec._zech, spec
+
+    def test_tables_sampled_up_to_4096(self):
+        specs = self._small_ext_fields(ZECH_MAX_ORDER)
+        assert len(specs) == 40
+        for spec in specs:
+            rng = random.Random(spec.order)
+            q = spec.order
+            ref = self._reference(spec)
+            els = [spec.element_from_index(rng.randrange(q)) for _ in range(40)]
+            self._assert_agree(spec, ref, [(a, b) for a in els for b in els[:10]])
+            for a in els:
+                e = rng.randrange(-2 * q, 2 * q)
+                if not spec.is_zero(a):
+                    assert spec.pow(a, e) == ref.pow(a, e), (spec, a, e)
+            assert spec._zech, spec
+
+    @pytest.mark.parametrize("spec", [make_extension(2, 2), make_extension(3, 2), make_extension(2, 8), make_extension(3, 6), make_extension(13, 2), make_extension(2, 12)], ids=repr)
+    def test_tables_edge_cases(self, spec):
+        ref = self._reference(spec)
+        zero, one, q = spec.zero(), spec.one(), spec.order
+        minus_one = spec.neg(one)
+        rng = random.Random(q)
+        for a in [one, minus_one] + [spec.element_from_index(rng.randrange(1, q)) for _ in range(20)]:
+            assert spec.add(a, zero) == spec.add(zero, a) == a
+            assert spec.sub(a, zero) == a
+            assert spec.sub(zero, a) == spec.neg(a) == ref.neg(a)
+            assert spec.mul(a, zero) == spec.mul(zero, a) == zero
+            assert spec.sub(a, a) == zero
+            assert spec.add(a, spec.neg(a)) == zero
+            assert spec.mul(a, one) == a
+            assert spec.mul(a, spec.inv(a)) == one
+            assert spec.pow(a, 0) == one
+            assert spec.pow(a, q - 1) == one
+            assert spec.pow(a, q) == a
+            assert spec.pow(a, -1) == spec.inv(a) == ref.inv(a)
+            assert spec.pow(a, -3) == ref.pow(a, -3)
+        assert spec.add(zero, zero) == spec.sub(zero, zero) == spec.mul(zero, zero) == zero
+        assert spec.pow(zero, 0) == one
+        assert spec.pow(zero, 5) == zero
+        with pytest.raises(ZeroDivisionError):
+            spec.inv(zero)
+        with pytest.raises(ZeroDivisionError):
+            spec.pow(zero, -1)
+        with pytest.raises(ZeroDivisionError):
+            spec.div(one, zero)
+
+    def test_tables_reject_noncanonical_tuples(self):
+        # (4, 0) is 1 in GF(9), but only canonical tuples have a log: a miss
+        # must fail loudly, never read as zero
+        spec = make_extension(3, 2)
+        assert spec.mul((1, 0), (1, 1)) == (1, 1)
+        with pytest.raises(KeyError):
+            spec.mul((4, 0), (1, 1))
+
+    @pytest.mark.parametrize("spec", [make_extension(13, 4), make_extension(2, 16), make_extension(911, 5)], ids=repr)
+    def test_no_tables_above_cap(self, spec):
+        assert spec.order > ZECH_MAX_ORDER
+        ref = self._reference(spec)
+        rng = random.Random(spec.k)
+        els = [spec.zero()] + [spec.element_from_index(rng.randrange(spec.order)) for _ in range(12)]
+        self._assert_agree(spec, ref, [(a, b) for a in els for b in els])
+        for a in els[1:]:
+            assert spec.mul(a, spec.inv(a)) == spec.one()
+            assert spec.pow(a, -2) == ref.pow(a, -2)
+        assert spec._zech is False
+
+
+class TestZechTables:
+    def test_built_on_first_mul_only(self):
+        spec = make_extension.__wrapped__(2, 8)  # a fresh spec, not the cached one
+        assert spec == make_extension(2, 8) and spec is not make_extension(2, 8)
+        assert spec._zech is None
+        assert spec.element_index(spec.parse("1,1")) == 3 and spec.fmt((1, 1, 0, 0, 0, 0, 0, 0)) == "1,1,0,0,0,0,0,0"
+        assert spec._zech is None
+        a, b = spec.element_from_index(7), spec.element_from_index(200)
+        assert spec.mul(a, b) == spec._mul_digits(a, b)
+        tables = spec._zech
+        q = spec.order
+        assert len(tables.exp) == 2 * (q - 1)
+        assert len(set(tables.exp[: q - 1])) == q - 1 and spec.zero() not in tables.exp
+        assert tables.exp[q - 1 :] == tables.exp[: q - 1]
+        assert {tables.log[v] for v in tables.exp[: q - 1]} == set(range(q - 1))
+        # the tables stay out of equality, hashing and the repr
+        assert spec == make_extension(2, 8) and hash(spec) == hash(make_extension(2, 8))
+        assert repr(spec) == "GF(2^8)"
+
+    def test_generator_is_first_primitive_element(self):
+        spec = make_extension(3, 2)
+        spec.mul(spec.one(), spec.one())
+        g = spec._zech.exp[1]
+        n = spec.order - 1
+        order = lambda v: next(i for i in range(1, n + 1) if _power(spec._mul_digits, spec.one(), v, i) == spec.one())
+        assert order(g) == n
+        assert all(order(spec.element_from_index(i)) < n for i in range(2, spec.element_index(g)))
+
+    def test_reducible_modulus_fails_loudly(self):
+        spec = FieldSpec("ext", p=2, k=2, modulus=(1, 0, 1))  # x^2 + 1 = (x + 1)^2
+        with pytest.raises(ValueError):
+            spec.mul((0, 1), (1, 1))
+
+    def test_no_tables_above_cap_in_jacobian_certification(self, ex1_model):
+        report = verify_utilde(ex1_model, 7, 911)
+        assert report.certificates and all(c.certified for c in report.certificates)
+        # roots and their y-coordinates live in GF(911^d) and GF(911^2d)
+        degrees = {c.x0_field_degree for c in report.certificates}
+        fields = [make_extension(911, k) for k in degrees | {2 * d for d in degrees} if k >= 2]
+        assert all(F.order > ZECH_MAX_ORDER for F in fields)
+        assert any(F._zech is False for F in fields)  # computed in, without tables
+        assert not any(F._zech for F in fields)
 
 
 class TestSolveQuadratic:
@@ -336,6 +487,18 @@ class TestFieldElementOps:
         assert (-a).value == 4
         assert (a**6).value == 1
         assert a != b and a == E(F7, 10)
+
+    def test_ext_values_canonical(self):
+        F9 = make_extension(3, 2)
+        assert E(F9, (4, 0)) == E(F9, (1, 0))
+        assert E(F9, (4, -1)).value == (1, 2)
+        assert hash(E(F9, (4, 0))) == hash(E(F9, (1, 0)))
+        assert (E(F9, (4, 0)) * E(F9, (1, 1))).value == (1, 1)
+
+    @pytest.mark.parametrize("value", [(1,), (1, 0, 0), (1, 0.5), [1, 0], 1])
+    def test_ext_values_rejected(self, value):
+        with pytest.raises(UsageError):
+            E(make_extension(3, 2), value)
 
     def test_cross_field_rejected(self):
         with pytest.raises(UsageError):
