@@ -201,9 +201,6 @@ class DivMatrix:
     char: int
     entries: tuple  # (mu+1) rows x (mu+g) columns of Poly
 
-    def row(self, i):
-        return self.entries[i]
-
 
 def build_M(model: HyperellipticModel, N: int, char: int | None = None) -> DivMatrix:
     """The (mu+1) x (mu+g) matrix with entry (i, j) = s_{i, nu+j-1}."""

@@ -22,9 +22,9 @@ Up to ``ZECH_MAX_ORDER`` elements, it is table-driven: each nonzero element
 is g^i for a fixed generator g, and Zech logarithms log(1 + g^i) (Huber,
 IEEE Trans. Inf. Theory 36, 1990) turn addition into lookups too.  Above
 that, a product is a schoolbook digit multiply reduced by the modulus, and
-an inverse is the extended Euclid on coefficient lists (inversions there are
-tiny, and ``Poly`` objects measured slower).  Values are canonical tuples on
-both paths.
+an inverse is the extended Euclid on plain coefficient lists, cancelling one
+leading term per step (``Poly`` objects measured slower, and a^(q-2) would
+cost about 2 log2(q) products).  Values are canonical tuples on both paths.
 """
 
 from __future__ import annotations
@@ -190,25 +190,7 @@ def factor_integer(n: int, trial_bound: int = 10**6, rho: bool = True):
 
 
 # ---------------------------------------------------------------------------
-# GF(p)[x] helpers for FieldSpec.inv, and the irreducibility test
-
-
-def _pnorm(c: list[int], p: int) -> list[int]:
-    c = [x % p for x in c]
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _pmul(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _pnorm(out, p)
+# the irreducibility test
 
 
 def _is_irreducible(m: list[int], p: int) -> bool:
@@ -232,13 +214,16 @@ def _is_irreducible(m: list[int], p: int) -> bool:
 
 
 def _power(mul, one, a, e: int):
-    """a^e for e >= 0 by square and multiply with ``mul``."""
+    """a^e for e >= 0 by square and multiply with ``mul``, the one such loop
+    in the package: field elements, polynomials (mod a modulus or not) and
+    divisor classes all go through it."""
     result = one
     while e:
         if e & 1:
             result = mul(result, a)
-        a = mul(a, a)
         e >>= 1
+        if e:  # the square after the top bit would go unused
+            a = mul(a, a)
     return result
 
 
@@ -446,32 +431,28 @@ class FieldSpec:
         z = self._zech or self._tables()
         if z:
             return z.exp[z.n - z.log[a]]
-        p = self.p
-        r0, r1 = list(self.modulus), _pnorm(list(a), p)
-        s0, s1 = [], [1]
+        # extended Euclid on (modulus, a), one leading term cancelled per
+        # step, keeping s_i with s_i a = r_i mod the modulus; every s_i has
+        # degree below k while deg r_i >= 1, so x^d s1 fits in k slots
+        p, k = self.p, self.k
+        r0, r1 = list(self.modulus), list(a)
+        while not r1[-1]:
+            r1.pop()
+        s0, s1 = [0] * k, [1] + [0] * (k - 1)
+        inv1 = pow(r1[-1], p - 2, p)
         while len(r1) > 1:
-            dm = len(r1) - 1
-            invlc = pow(r1[-1], p - 2, p)
-            q = [0] * (len(r0) - len(r1) + 1)
-            r = list(r0)
-            while len(r) - 1 >= dm and r:
-                qc = r[-1] * invlc % p
-                shift = len(r) - 1 - dm
-                q[shift] = qc
-                for i, mi in enumerate(r1):
-                    r[shift + i] = (r[shift + i] - qc * mi) % p
-                r = _pnorm(r, p)
-            r0, r1 = r1, r
-            qs1 = _pmul(q, s1, p)
-            news = [
-                ((s0[i] if i < len(s0) else 0) - (qs1[i] if i < len(qs1) else 0)) % p
-                for i in range(max(len(s0), len(qs1), 1))
-            ]
-            s0, s1 = s1, _pnorm(news, p)
-        c = pow(r1[0], p - 2, p)
-        out = [x * c % p for x in s1]
-        out += [0] * (self.k - len(out))
-        return tuple(out[: self.k])
+            c = r0[-1] * inv1 % p
+            d = len(r0) - len(r1)
+            for i, x in enumerate(r1):
+                r0[d + i] = (r0[d + i] - c * x) % p
+            for i in range(k - d):
+                s0[d + i] = (s0[d + i] - c * s1[i]) % p
+            while not r0[-1]:  # r0 never vanishes: the modulus is irreducible
+                r0.pop()
+            if len(r0) < len(r1):
+                r0, r1, s0, s1 = r1, r0, s1, s0
+                inv1 = pow(r1[-1], p - 2, p)
+        return tuple(x * inv1 % p for x in s1)
 
     def div(self, a, b):
         if self.kind == "rationals":

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .curve import HyperellipticModel, integral_model, reduce_mod_p, resolve_char
 from .errors import TheoremViolation, UsageError
-from .exactnum import FieldElement, FieldSpec, QQ, factor_integer, make_extension, solve_quadratic
+from .exactnum import FieldElement, FieldSpec, QQ, _power, factor_integer, solve_quadratic
 from .poly import Poly, exact_div, rational_roots, roots_by_degree, subfield_embedding
 
 __all__ = [
@@ -157,14 +157,7 @@ def add(D1: MumfordDivisor, D2: MumfordDivisor) -> MumfordDivisor:
 def scalar_mul(D: MumfordDivisor, n: int) -> MumfordDivisor:
     if n < 0:
         return scalar_mul(neg(D), -n)
-    acc = identity(D.ctx)
-    base = D
-    while n:
-        if n & 1:
-            acc = add(acc, base)
-        base = add(base, base)
-        n >>= 1
-    return acc
+    return _power(add, identity(D.ctx), D, n)
 
 
 def has_exact_order(D: MumfordDivisor, n: int) -> bool:
@@ -199,26 +192,19 @@ class VerifyReport:
 
 
 def _point_and_context(model, spec, x0: FieldElement):
-    """Solve y^2 + Q(x0) y = P(x0) over x0's field, extending once if needed."""
-    ctx = context_over(model, spec)
-    a = FieldElement(spec, spec.one())
-    b = ctx.Q(x0)
-    c = -ctx.P(x0)
-    ys = solve_quadratic(a, b, c)
-    if ys:
-        return ctx, x0, ys[0]
+    """Solve y^2 + Q(x0) y = P(x0) over x0's field, or over its degree-2
+    extension when it has no root there (finite fields only)."""
+    b, c = model.Q(x0), -model.P(x0)
     if not spec.is_finite:
-        return None
-    big = make_extension(spec.p, 2 * spec.k)
-    lift = subfield_embedding(spec, big)
-    x0b = FieldElement(big, lift(x0.value))
-    ctx2 = context_over(model, big)
-    ys = solve_quadratic(
-        FieldElement(big, big.one()), ctx2.Q(x0b), -ctx2.P(x0b)
-    )
+        ys = solve_quadratic(FieldElement(spec, spec.one()), b, c)
+        return (context_over(model, spec), x0, ys[0]) if ys else None
+    ys = roots_by_degree(Poly(spec, [c.value, b.value, spec.one()]), 2)
     if not ys:
         raise TheoremViolation("quadratic for y insoluble in the degree-2 extension")
-    return ctx2, x0b, ys[0]
+    y0 = ys[min(ys)][0]
+    big = y0.spec  # spec itself when the root lies there
+    x0b = FieldElement(big, subfield_embedding(spec, big)(x0.value))
+    return context_over(model, big), x0b, y0
 
 
 def verify_utilde(model: HyperellipticModel, N: int, char: int | None = None) -> VerifyReport:

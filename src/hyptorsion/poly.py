@@ -4,13 +4,14 @@ Coefficients are stored ascending in a tuple whose last entry is nonzero;
 the zero polynomial is the empty tuple and reports degree -1.  The domain
 object (``ZZ`` or a ``FieldSpec``) carries the scalar operations, so hot
 kernels (multiplication, division) can pick fast paths: schoolbook with a
-Karatsuba split above degree 32 for characteristic zero, and numpy arrays
-for prime fields.  A GF(p) convolution is exact in float64 while
-min(len a, len b)·(p−1)² < 2⁵³ and in int64 below 2⁶²; past that it runs
-on Python ints.  GF(p) division with a long quotient multiplies by a Newton
-reciprocal of the reversed divisor and checks the remainder through the
-full product; a short quotient (Euclid's steps) uses long division on an
-int64 array, and moduli with (p−1)² ≥ 2⁶², whose products would wrap
+Karatsuba split above degree 32 on integer coefficients (also for GF(p)
+products too short or too wide for numpy, reduced mod p once), and numpy
+arrays for other GF(p) products.  A GF(p) convolution is exact in float64
+while min(len a, len b)·(p−1)² < 2⁵³ and in int64 below 2⁶²; past that it
+runs on Python ints.  GF(p) division with a long quotient multiplies by a
+Newton reciprocal of the reversed divisor and checks the remainder through
+the full product; a short quotient (Euclid's steps) uses long division on
+an int64 array, and moduli with (p−1)² ≥ 2⁶², whose products would wrap
 there, use plain Python.  GF(p) addition, subtraction, negation and
 scaling of long polynomials are array operations too.
 
@@ -26,7 +27,7 @@ from math import comb, gcd, isqrt, lcm
 import numpy as np
 
 from .errors import InexactDivisionError, UsageError
-from .exactnum import FIELD_CACHE_SIZE, QQ, FieldElement, FieldSpec, factor_integer, make_extension
+from .exactnum import FIELD_CACHE_SIZE, QQ, FieldElement, FieldSpec, _power, factor_integer, make_extension
 
 __all__ = [
     "ZZ",
@@ -188,12 +189,7 @@ def _mul_gfp(a, b, p):
     na, nb = len(a), len(b)
     if min(na, nb) >= 16 and _conv_np_ok(p, min(na, nb)):
         return _conv(a, b, p).tolist()
-    out = [0] * (na + nb - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return out
+    return [c % p for c in _mul_native(a, b)]
 
 
 def _addsub_gfp(a, b, p, sign):
@@ -359,14 +355,7 @@ class Poly:
     def __pow__(self, e: int):
         if e < 0:
             raise UsageError("negative polynomial power")
-        result = Poly.one(self.dom)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _power(Poly.__mul__, Poly.one(self.dom), self, e)
 
     # -- division ----------------------------------------------------------------
 
@@ -520,10 +509,8 @@ class Poly:
                 cstr = "(" + dom.fmt(c) + ")"
                 sign = "+"
             else:
-                as_int = c if not isinstance(c, Fraction) else c
-                sign = "-" if as_int < 0 else "+"
-                mag = -as_int if as_int < 0 else as_int
-                cstr = str(mag)
+                sign = "-" if c < 0 else "+"
+                cstr = str(-c if c < 0 else c)
             if i == 0:
                 terms.append((sign, cstr))
             elif cstr == "1":
@@ -941,14 +928,7 @@ def _res_field_main(a: Poly, b: Poly):
 
 
 def _powmod(base: Poly, e: int, mod: Poly) -> Poly:
-    result = Poly.one(base.dom)
-    base = base % mod
-    while e:
-        if e & 1:
-            result = (result * base) % mod
-        base = (base * base) % mod
-        e >>= 1
-    return result
+    return _power(lambda a, b: a * b % mod, Poly.one(base.dom), base % mod, e)
 
 
 def _candidate_order(spec):

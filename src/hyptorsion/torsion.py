@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .curve import HyperellipticModel, integral_model, mu_nu, reduce_mod_p, resolve_char
-from .divpoly import delta, pi_subdet, s_sequence, subdet_indices
+from .divpoly import _reduced, build_M, delta, pi_subdet, s_sequence, subdet_indices
 from .errors import TheoremViolation, UsageError
 from .exactnum import QQ, FieldElement, prime_field
 from .linalg import berkowitz_det_mod, scalar_rank
@@ -102,41 +102,46 @@ def utilde(model: HyperellipticModel, N: int, char: int | None = None) -> Torsio
             model, N, char, Poly.one(dom), (), False, note=f"3<=N<=2g={2 * g}: locus empty"
         )
     seq = s_sequence(model, N - 1)
-    F = seq.FZ if char == 0 else seq.FZ.map_to(prime_field(char))
+    F = _reduced(seq.FZ, char)
     indices = subdet_indices(g, N)
     running: Poly | None = None
-    used: list[tuple] = []
+    used: dict[tuple, None] = {}  # folded indices, in fold order
     delta_vanished = False
     stable = 0
     any_nonzero = False
 
     for pos, j in enumerate(indices, 1):
-        pi = pi_subdet(model, N, j, char)
-        if pos == 1:
-            delta_vanished = pi.is_zero
-        if not pi.is_zero:
-            any_nonzero = True
-        before = running
-        running = _fold(running, pi, char)
-        used.append(j)
-        if running is None:
-            continue
-        if before is not None and running == before:
+        if j in used:
+            # folded early after a failed shortcut: running divides it, so
+            # folding it again would leave running unchanged
             stable += 1
         else:
-            stable = 0
+            pi = pi_subdet(model, N, j, char)
+            if pos == 1:
+                delta_vanished = pi.is_zero
+            if not pi.is_zero:
+                any_nonzero = True
+            before = running
+            running = _fold(running, pi, char)
+            used[j] = None
+            if running is None:
+                continue
+            if before is not None and running == before:
+                stable += 1
+            else:
+                stable = 0
         if running.degree == 0:
-            return TorsionLocus(model, N, char, Poly.one(dom), _dedupe(used), delta_vanished)
+            return TorsionLocus(model, N, char, Poly.one(dom), tuple(used), delta_vanished)
         if stable >= _STABLE_FOLDS and len(indices) - pos >= _SHORTCUT_MIN_REMAINING:
             h = _candidate_locus(running, F, char)
             if h.degree == 0:
-                return TorsionLocus(model, N, char, Poly.one(dom), _dedupe(used), delta_vanished)
-            bad = _first_unverified(model, N, indices[pos:], h, char)
+                return TorsionLocus(model, N, char, Poly.one(dom), tuple(used), delta_vanished)
+            bad = _first_unverified(model, N, indices[pos:], h)
             if bad is None:
-                return TorsionLocus(model, N, char, h, _dedupe(used), delta_vanished)
+                return TorsionLocus(model, N, char, h, tuple(used), delta_vanished)
             # fold the offending subdeterminant immediately and resume
             running = _fold(running, pi_subdet(model, N, bad, char), char)
-            used.append(bad)
+            used[bad] = None
             stable = 0
 
     if not any_nonzero or running is None:
@@ -145,17 +150,7 @@ def utilde(model: HyperellipticModel, N: int, char: int | None = None) -> Torsio
             "the matrix must have maximal rank"
         )
     final = _candidate_locus(running, F, char)
-    return TorsionLocus(model, N, char, final, _dedupe(used), delta_vanished)
-
-
-def _dedupe(used: list) -> tuple:
-    seen = set()
-    out = []
-    for j in used:
-        if j not in seen:
-            seen.add(j)
-            out.append(j)
-    return tuple(out)
+    return TorsionLocus(model, N, char, final, tuple(used), delta_vanished)
 
 
 def _candidate_locus(running: Poly, F: Poly, char: int) -> Poly:
@@ -164,7 +159,7 @@ def _candidate_locus(running: Poly, F: Poly, char: int) -> Poly:
     return normalize_locus(running, F)
 
 
-def _first_unverified(model, N, remaining, h: Poly, char: int):
+def _first_unverified(model, N, remaining, h: Poly):
     """First index whose stripped subdeterminant h fails to divide, else None.
 
     Each check runs inside k[x]/(h): reduction is a ring homomorphism, so a
@@ -178,16 +173,13 @@ def _first_unverified(model, N, remaining, h: Poly, char: int):
     needed = sorted({jl - i for j in remaining for i in range(len(j)) for jl in j})
     residues = {}
     for m in needed:
-        sm = seq.s(m)
-        sm = sm.map_to(QQ) if char == 0 else sm.map_to(prime_field(char))
-        residues[m] = sm % h
+        residues[m] = seq.s(m).map_to(dom) % h
     if h.degree == 1:
-        spec = QQ if char == 0 else prime_field(char)
-        root_vals = {m: (residues[m].coeff(0) if residues[m].cs else spec.zero()) for m in needed}
+        root_vals = {m: residues[m].coeff(0) for m in needed}
         for j in remaining:
             n = len(j)
             rows = [[root_vals[jl - i] for jl in j] for i in range(n)]
-            if scalar_rank(rows, spec) == n:
+            if scalar_rank(rows, dom) == n:
                 return j
         return None
     for j in remaining:
@@ -354,25 +346,12 @@ def rank_at(model: HyperellipticModel, N: int, x0: FieldElement) -> RankReport:
     Valid only where F(x0) != 0; the order-2 locus is read off F directly
     and this criterion does not apply there.
     """
-    model = integral_model(model)
-    mn = mu_nu(model.g, N)
-    spec = x0.spec
-    char = spec.char
-    if char != 0 and reduce_mod_p(model, char) is None:
+    char = x0.spec.char
+    M = build_M(model, N, char)
+    if char != 0 and reduce_mod_p(M.model, char) is None:
         raise UsageError(f"bad reduction at {char}")
-    seq = s_sequence(model, N - 1)
-    Fq = seq.FZ if char == 0 else seq.FZ.map_to(prime_field(char))
-    fval = Fq(x0)
-    if not fval:
+    if not _reduced(s_sequence(M.model, N - 1).FZ, char)(x0):
         raise UsageError("F(x0) = 0: order-2 locus, rank criterion inapplicable")
-    rows = []
-    for i in range(mn.mu + 1):
-        row = []
-        for jj in range(1, mn.mu + model.g + 1):
-            entry = seq.s_entry(i, mn.nu + jj - 1)
-            if char != 0:
-                entry = entry.map_to(prime_field(char))
-            row.append(entry(x0).value)
-        rows.append(row)
-    rank = scalar_rank(rows, spec)
-    return RankReport(N, rank, mn.mu + 1, rank < mn.mu + 1)
+    rows = [[entry(x0).value for entry in row] for row in M.entries]
+    rank = scalar_rank(rows, x0.spec)
+    return RankReport(N, rank, len(rows), rank < len(rows))

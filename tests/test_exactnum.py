@@ -256,6 +256,31 @@ class TestFieldAxioms:
         assert spec._zech is False
 
 
+    @pytest.mark.parametrize("spec", [make_extension(911, 10), make_extension(65521, 3), make_extension(2, 16)], ids=repr)
+    def test_euclid_inverse_is_a_to_the_q_minus_2(self, spec):
+        # above the cap the inverse comes from the extended Euclid; a^(q-2)
+        # is an independent route to the same element
+        rng = random.Random(spec.order)
+        for _ in range(6):
+            a = spec.element_from_index(rng.randrange(1, spec.order))
+            assert spec.inv(a) == _power(spec._mul_digits, spec.one(), a, spec.order - 2), (spec, a)
+        assert spec._zech is False
+
+
+class TestPower:
+    def test_matches_builtin_pow(self):
+        m = 1000003
+        for e in range(65):
+            assert _power(lambda a, b: a * b, 1, 3, e) == 3**e
+            assert _power(lambda a, b: a * b % m, 1, 5, e) == pow(5, e, m)
+
+    def test_skips_the_square_after_the_top_bit(self):
+        for e in range(1, 65):
+            calls = []
+            _power(lambda a, b: calls.append(1) or a * b, 1, 3, e)
+            assert len(calls) == e.bit_length() - 1 + bin(e).count("1"), e
+
+
 class TestZechTables:
     def test_built_on_first_mul_only(self):
         spec = make_extension.__wrapped__(2, 8)  # a fresh spec, not the cached one

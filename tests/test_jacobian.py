@@ -1,7 +1,9 @@
 import pytest
 
+import hyptorsion.jacobian as jacobian
+from hyptorsion.curve import reduce_mod_p
 from hyptorsion.errors import UsageError
-from hyptorsion.exactnum import QQ, FieldElement, solve_quadratic
+from hyptorsion.exactnum import QQ, FieldElement, make_extension, solve_quadratic
 from hyptorsion.jacobian import (
     MumfordDivisor,
     add,
@@ -13,7 +15,8 @@ from hyptorsion.jacobian import (
     scalar_mul,
     verify_utilde,
 )
-from hyptorsion.poly import Poly
+from hyptorsion.poly import Poly, roots_by_degree, subfield_embedding
+from hyptorsion.torsion import utilde
 from conftest import random_prime_field_model
 
 
@@ -90,6 +93,18 @@ class TestGroupLaws:
             for n in range(0, 5):
                 assert scalar_mul(D, m + n) == add(scalar_mul(D, m), scalar_mul(D, n))
 
+    def test_scalar_mul_by_power_of_two_adds_m_plus_one_times(self, rng, monkeypatch):
+        ctx = context_over(random_prime_field_model(11, 2, rng))
+        D = random_divisor(ctx, rng)
+        calls = []
+        monkeypatch.setattr(jacobian, "add", lambda A, B: calls.append(1) or add(A, B))
+        doubled = D
+        for m in range(8):
+            calls.clear()
+            assert scalar_mul(D, 2**m) == doubled
+            assert len(calls) == m + 1  # m doublings and one add to the identity
+            doubled = add(doubled, doubled)
+
     def test_five_torsion_point_ex1(self, ex1_model):
         ctx = context_over(ex1_model)
         D = embed_point(ctx, FieldElement(QQ, 0), FieldElement(QQ, 0))
@@ -120,6 +135,30 @@ class TestVerify:
             rep = verify_utilde(ex5_model, 7, char)
             assert rep.locus_degree == 1
             assert all(c.order_divides_N for c in rep.certificates)
+
+    @pytest.mark.parametrize("curve, N, p", [("ex1", 5, 2), ("ex1", 5, 3), ("ex2", 6, 5), ("ex5", 13, 3)])
+    def test_point_lift_matches_solve_then_extend(self, request, curve, N, p):
+        # the one root-finder call picks the same y, and the same embedding
+        # of x0, as solving over x0's field and then over its quadratic extension
+        model = reduce_mod_p(request.getfixturevalue(f"{curve}_model"), p)
+        locus = utilde(model, N, p).utilde
+        checked = 0
+        for roots in roots_by_degree(locus, locus.degree).values():
+            for x0 in roots:
+                spec = x0.spec
+                ctx, x0e, y0 = jacobian._point_and_context(model, spec, x0)
+                base = context_over(model, spec)
+                ys = solve_quadratic(FieldElement(spec, spec.one()), base.Q(x0), -base.P(x0))
+                checked += 1
+                if ys:
+                    assert (ctx.field, x0e, y0) == (spec, x0, ys[0])
+                    continue
+                big = make_extension(p, 2 * spec.k)
+                assert ctx.field == big
+                ref = context_over(model, big)
+                xb = FieldElement(big, subfield_embedding(spec, big)(x0.value))
+                assert (x0e, y0) == (xb, solve_quadratic(FieldElement(big, big.one()), ref.Q(xb), -ref.P(xb))[0])
+        assert checked == locus.degree > 0
 
     def test_x051_32_torsion(self, x051_model):
         ctx = context_over(x051_model)

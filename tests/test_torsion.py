@@ -83,6 +83,16 @@ class TestUtilde:
         assert sorted(set(calls)) == candidates
         assert len(loc.subdets_used) < len(subdet_indices(model.g, N))
 
+    def test_each_subdet_folded_once(self, ex5_model, monkeypatch):
+        # a failed shortcut folds its offending index early; the loop then
+        # reuses that fold instead of running Bareiss on it again
+        calls = []
+        original = torsion.pi_subdet
+        monkeypatch.setattr(torsion, "pi_subdet", lambda m, N, j, char: calls.append(j) or original(m, N, j, char))
+        loc = utilde(ex5_model, 14, 3)
+        assert len(calls) == len(set(calls)) == 6
+        assert loc.subdets_used == tuple(calls) and loc.degree == 8
+
     def test_x051_level12_char0_without_prs(self, x051_model, prs_calls):
         # one gcd of degrees 126 and 132 with ~900-bit coefficients, certified 1 by GCDHEU
         assert utilde(x051_model, 12, 0).utilde == Poly.one(QQ)
@@ -251,6 +261,16 @@ class TestRankAt:
         rd = roots_by_degree(loc.utilde, 4)
         for r in rd.get(4, []):
             assert rank_at(ex1_model, 5, r).is_torsion_x
+
+    def test_rejects_a_characteristic_other_than_the_models(self, ex1_model):
+        # a GF(7) model has no characteristic-zero matrix: its integer lift
+        # is a choice of representatives, as for utilde
+        m7 = reduce_mod_p(ex1_model, 7)
+        with pytest.raises(UsageError):
+            utilde(m7, 5, 0)
+        with pytest.raises(UsageError):
+            rank_at(m7, 5, FieldElement(QQ, 1))
+        assert not rank_at(m7, 5, FieldElement(prime_field(7), 2)).is_torsion_x
 
     def test_two_torsion_guard(self, ex2_model):
         with pytest.raises(UsageError):
