@@ -12,11 +12,11 @@ reduced pair (u, v) by v -> (-v - Q) mod u.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .curve import HyperellipticModel, integral_model, reduce_mod_p, resolve_char
 from .errors import TheoremViolation, UsageError
-from .exactnum import FieldElement, FieldSpec, QQ, _power, factor_integer, solve_quadratic
+from .exactnum import FieldElement, FieldSpec, QQ, _power, factor_integer, frobenius, solve_quadratic
 from .poly import Poly, exact_div, rational_roots, roots_by_degree, subfield_embedding
 
 __all__ = [
@@ -192,8 +192,13 @@ class VerifyReport:
 
 
 def _point_and_context(model, spec, x0: FieldElement):
-    """Solve y^2 + Q(x0) y = P(x0) over x0's field, or over its degree-2
-    extension when it has no root there (finite fields only)."""
+    """(context, x0 in the context's field, y0) for a lift of x0 to the
+    curve, or None over QQ when y is irrational.
+
+    y0 is the smaller by ``element_index`` of the two roots y and -Q(x0) - y
+    of y^2 + Q(x0) y = P(x0), over x0's field or, when they are not there,
+    over its degree-2 extension.  verify_utilde applies the same rule to
+    the conjugates of the two roots at each Frobenius conjugate of x0."""
     b, c = model.Q(x0), -model.P(x0)
     if not spec.is_finite:
         ys = solve_quadratic(FieldElement(spec, spec.one()), b, c)
@@ -209,12 +214,20 @@ def _point_and_context(model, spec, x0: FieldElement):
 
 def verify_utilde(model: HyperellipticModel, N: int, char: int | None = None) -> VerifyReport:
     """Certify every reachable root of the level-N locus through Jacobian
-    arithmetic: N D = 0 and 2 D != 0 for a lift of each root.
+    arithmetic: N D = 0 and 2 D != 0 for D = [(x0, y0)] - [infinity].
 
-    Over a finite field all roots are certified (grouped by extension
-    degree).  Over the rationals only rational roots can be lifted without
-    number fields; the rest are counted, not certified.  Any root failing
-    its check raises: that would falsify the locus computation.
+    Over GF(p) every root is certified, grouped by the degree of its field.
+    The reduced curve is defined over GF(p), so the Frobenius s: v -> v^p
+    is a GF(p)-automorphism of the Jacobian, and N s(D) = s(N D).  So each
+    Frobenius orbit of roots is lifted and certified once, at its smallest
+    root x0.  Its conjugate s^i(x0) takes the point (s^i(x0), y) with y the
+    smaller of s^i(y0) and -Q(s^i(x0)) - s^i(y0), the lift the smallest root
+    rule picks; the second value is the image under the hyperelliptic
+    involution, whose divisor class is -s^i(D).  Either way the conjugate's
+    class has the same order as D, so it takes D's findings, after its own
+    on-curve check.  Over the rationals only rational roots can be lifted
+    without number fields; the rest are counted, not certified.  Any root
+    failing its check raises: that would falsify the locus computation.
     """
     from .torsion import utilde as compute_utilde
 
@@ -226,29 +239,27 @@ def verify_utilde(model: HyperellipticModel, N: int, char: int | None = None) ->
     if char == 0:
         roots, complete = rational_roots(locus.utilde)
         missed = locus.degree - len(roots)
-        base = model
         for r in roots:
             x0 = FieldElement(QQ, r)
-            got = _point_and_context(base, QQ, x0)
-            if got is None:
+            lift = _point_and_context(model, QQ, x0)
+            if lift is None:
                 certs.append(
                     RootCertificate(1, str(x0), "", False, False, False, "y is irrational")
                 )
                 continue
-            ctx, x0e, y0 = got
-            certs.append(_certify(ctx, N, 1, x0e, y0))
+            certs.append(_certify(*lift, N, 1))
     else:
         reduced = reduce_mod_p(model, char)
         if reduced is None:
             raise UsageError(f"bad reduction at {char}")
         upoly = locus.utilde
         if upoly.degree > 0:
-            by_deg = roots_by_degree(upoly, upoly.degree)
-            for d, roots in sorted(by_deg.items()):
+            for d, roots in sorted(roots_by_degree(upoly, upoly.degree).items()):
+                done: dict = {}
                 for x0 in roots:
-                    got = _point_and_context(reduced, x0.spec, x0)
-                    ctx, x0e, y0 = got
-                    certs.append(_certify(ctx, N, d, x0e, y0))
+                    if x0.value not in done:
+                        done.update(_certify_orbit(reduced, N, d, x0))
+                    certs.append(done[x0.value])
     report = VerifyReport(N, char, locus.degree, tuple(certs), missed)
     for cert in report.certificates:
         if cert.certified and (not cert.order_divides_N or cert.in_two_torsion):
@@ -258,7 +269,25 @@ def verify_utilde(model: HyperellipticModel, N: int, char: int | None = None) ->
     return report
 
 
-def _certify(ctx, N, d, x0, y0) -> RootCertificate:
+def _certify_orbit(model, N, d, x0) -> dict:
+    """{raw value of x: certificate} for x0 and each of its Frobenius
+    conjugates, from one Jacobian certificate at x0 (see verify_utilde)."""
+    p = model.field.p
+    ctx, xe, ye = _point_and_context(model, x0.spec, x0)
+    cert = _certify(ctx, xe, ye, N, d)
+    out = {x0.value: cert}
+    big = ctx.field
+    x = frobenius(x0)
+    while x != x0:
+        xe, ye = FieldElement(big, big.pow(xe.value, p)), FieldElement(big, big.pow(ye.value, p))
+        y = min(ye, -ctx.Q(xe) - ye, key=lambda v: big.element_index(v.value))
+        embed_point(ctx, xe, y)  # the on-curve check
+        out[x.value] = replace(cert, x0=str(xe), y0=str(y))
+        x = frobenius(x)
+    return out
+
+
+def _certify(ctx, x0, y0, N, d) -> RootCertificate:
     D = embed_point(ctx, x0, y0)
     nd = scalar_mul(D, N)
     two = scalar_mul(D, 2)

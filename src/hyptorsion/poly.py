@@ -26,7 +26,7 @@ from math import comb, gcd, isqrt, lcm
 
 import numpy as np
 
-from .errors import InexactDivisionError, UsageError
+from .errors import InexactDivisionError, TheoremViolation, UsageError
 from .exactnum import FIELD_CACHE_SIZE, QQ, FieldElement, FieldSpec, _power, factor_integer, make_extension
 
 __all__ = [
@@ -945,18 +945,13 @@ def _candidate_order(spec):
     yield from range(0, start)
 
 
-def _split_roots(f: Poly) -> list:
-    """All roots (raw values) of a squarefree f that splits over its field.
+def _split_once(f: Poly) -> Poly:
+    """A proper monic factor of a squarefree monic f of degree >= 2 that
+    splits over its field (equal-degree splitting of Cantor & Zassenhaus).
 
-    Deterministic: splitting candidates are tried in a fixed order, so the
-    recursion tree, and hence the output order before sorting, is
-    reproducible."""
+    Deterministic: candidates are tried in a fixed order, from the first
+    one again on every call."""
     spec = f.dom
-    f = f.monic()
-    if f.degree <= 0:
-        return []
-    if f.degree == 1:
-        return [spec.neg(f.cs[0])]
     q = spec.order
     xpoly = Poly.x(spec)
     if spec.char != 2:
@@ -965,7 +960,7 @@ def _split_roots(f: Poly) -> list:
             h = _powmod(xpoly + Poly.const(spec, c), (q - 1) // 2, f) - Poly.one(spec)
             g = poly_gcd(f, h)
             if 0 < g.degree < f.degree:
-                return _split_roots(g) + _split_roots(exact_div(f, g))
+                return g
     else:
         kbits = q.bit_length() - 1  # q = 2^kbits
         for idx in _candidate_order(spec):
@@ -979,8 +974,45 @@ def _split_roots(f: Poly) -> list:
                 acc = (acc + t) % f
             g = poly_gcd(f, acc)
             if 0 < g.degree < f.degree:
-                return _split_roots(g) + _split_roots(exact_div(f, g))
+                return g
     raise AssertionError("splitting candidates exhausted on a split polynomial")
+
+
+def _split_roots(f: Poly, q: int) -> list:
+    """All roots (raw values) of a squarefree f that splits over its field,
+    where x -> x^q fixes every coefficient of f.
+
+    That map is a field automorphism, so it permutes the roots of f: they
+    fall into orbits r, r^q, r^(q^2), ...  Only one root per orbit is split
+    off.  The smallest pending factor is split until it is linear; the
+    conjugates of its root are then divided out of whichever pending factor
+    vanishes there, by ``exact_div``, and a conjugate that is a root of no
+    pending factor raises.  The order of the output is fixed but not
+    sorted; callers sort."""
+    spec = f.dom
+    pending = [f.monic()] if f.degree > 0 else []
+    roots = []
+    while pending:
+        g = pending.pop(min(range(len(pending)), key=lambda i: pending[i].degree))
+        while g.degree > 1:
+            h = _split_once(g)
+            rest = exact_div(g, h)
+            g, other = (h, rest) if h.degree <= rest.degree else (rest, h)
+            pending.append(other)
+        r = spec.neg(g.cs[0])
+        roots.append(r)
+        s = spec.pow(r, q)
+        while s != r:
+            for i, h in enumerate(pending):
+                if spec.is_zero(h(s)):
+                    pending[i] = exact_div(h, Poly(spec, [spec.neg(s), spec.one()]))
+                    break
+            else:
+                raise TheoremViolation(f"conjugate {spec.fmt(s)} is no root of the polynomial being split")
+            roots.append(s)
+            s = spec.pow(s, q)
+        pending = [h for h in pending if h.degree > 0]
+    return roots
 
 
 @lru_cache(maxsize=FIELD_CACHE_SIZE)
@@ -1002,7 +1034,7 @@ def subfield_embedding(src: FieldSpec, dst: FieldSpec):
             return v
     else:
         mod_img = Poly.of_ints(dst, list(src.modulus))
-        roots = sorted(_split_roots(mod_img), key=dst.element_index)
+        roots = sorted(_split_roots(mod_img, dst.p), key=dst.element_index)
         beta = roots[0]
         powers = [dst.one()]
         for _ in range(src.k - 1):
@@ -1046,7 +1078,7 @@ def roots_by_degree(f: Poly, max_deg: int) -> dict[int, list[FieldElement]]:
             big = make_extension(spec.p, d * spec.k)
             emb = subfield_embedding(spec, big)
             img = Poly(big, [emb(c) for c in g_d.cs])
-            roots = sorted(_split_roots(img), key=big.element_index)
+            roots = sorted(_split_roots(img, q), key=big.element_index)
             out[d] = [FieldElement(big, r) for r in roots]
     return out
 

@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import pytest
 
 import hyptorsion.jacobian as jacobian
-from hyptorsion.curve import reduce_mod_p
-from hyptorsion.errors import UsageError
-from hyptorsion.exactnum import QQ, FieldElement, make_extension, solve_quadratic
+from hyptorsion.curve import integral_model, reduce_mod_p
+from hyptorsion.errors import TheoremViolation, UsageError
+from hyptorsion.exactnum import QQ, FieldElement, make_extension, prime_field, solve_quadratic
 from hyptorsion.jacobian import (
     MumfordDivisor,
     add,
@@ -15,7 +17,7 @@ from hyptorsion.jacobian import (
     scalar_mul,
     verify_utilde,
 )
-from hyptorsion.poly import Poly, roots_by_degree, subfield_embedding
+from hyptorsion.poly import Poly, poly_gcd, roots_by_degree, subfield_embedding
 from hyptorsion.torsion import utilde
 from conftest import random_prime_field_model
 
@@ -168,3 +170,72 @@ class TestVerify:
         assert scalar_mul(D, 32).is_identity
         assert not scalar_mul(D, 16).is_identity
         assert has_exact_order(D, 32)
+
+
+def verify_utilde_per_root(model, N, p):
+    """The per-root route over GF(p): every root of the locus is lifted and
+    certified on its own.  The reference for verify_utilde's orbit route."""
+    model = integral_model(model)
+    locus = utilde(model, N, p)
+    reduced = reduce_mod_p(model, p)
+    certs = []
+    if locus.utilde.degree > 0:
+        for d, roots in sorted(roots_by_degree(locus.utilde, locus.degree).items()):
+            for x0 in roots:
+                ctx, x0e, y0 = jacobian._point_and_context(reduced, x0.spec, x0)
+                certs.append(jacobian._certify(ctx, x0e, y0, N, d))
+    return jacobian.VerifyReport(N, p, locus.degree, tuple(certs), 0)
+
+
+# the 10 loci of the certify-jacobian benchmark, then 7 more
+DIFFERENTIAL_CASES = [
+    ("ex1", 15, 2), ("ex1", 7, 911), ("ex1", 5, 2), ("ex1", 20, 11), ("ex5", 7, 13),
+    ("ex5", 11, 2), ("ex5", 14, 3), ("ex5", 12, 13), ("ex2", 6, 3), ("ex2", 12, 3),
+    ("ex5", 13, 3), ("ex2", 6, 5), ("ex1", 5, 7), ("ex5", 21, 13), ("ex1", 17, 2),
+    ("ex5", 14, 13), ("ex1", 20, 2),
+]
+
+
+class TestOrbitCertification:
+    @pytest.mark.parametrize("curve, N, p", DIFFERENTIAL_CASES)
+    def test_matches_per_root_route(self, request, curve, N, p):
+        model = request.getfixturevalue(f"{curve}_model")
+        assert repr(verify_utilde(model, N, p)) == repr(verify_utilde_per_root(model, N, p))
+
+    def test_one_certificate_per_orbit(self, ex1_model, monkeypatch):
+        # the 5 roots of x^5 + 478 over GF(911) form one orbit in GF(911^5)
+        calls = []
+        monkeypatch.setattr(jacobian, "scalar_mul", lambda D, n: calls.append(n) or scalar_mul(D, n))
+        rep = verify_utilde(ex1_model, 7, 911)
+        assert [c.x0_field_degree for c in rep.certificates] == [5] * 5
+        assert sorted(calls) == [2, 7]
+
+    def test_false_locus_still_raises(self, ex5_model, monkeypatch):
+        # true locus times x^2 - 2, irreducible over GF(13): its two roots are
+        # one orbit, not 7-torsion, and certified at one root only
+        import hyptorsion.torsion as torsion
+
+        quad = Poly.of_ints(prime_field(13), [-2, 0, 1])
+        assert roots_by_degree(quad, 1) == {}
+        loc = torsion.utilde(ex5_model, 7, 13)
+        assert poly_gcd(loc.utilde, quad).degree == 0
+        fake = replace(loc, utilde=loc.utilde * quad)
+        monkeypatch.setattr(torsion, "utilde", lambda model, N, char=None: fake)
+        with pytest.raises(TheoremViolation, match="failed Jacobian certification"):
+            verify_utilde(ex5_model, 7, 13)
+
+    def test_wrong_conjugate_y_is_off_curve(self, ex1_model):
+        model = reduce_mod_p(ex1_model, 911)
+        (x0, *_) = roots_by_degree(utilde(model, 7, 911).utilde, 5)[5]
+        ctx, xe, ye = jacobian._point_and_context(model, x0.spec, x0)
+        big = ctx.field
+        x1 = FieldElement(big, big.pow(xe.value, 911))
+        y1 = FieldElement(big, big.pow(ye.value, 911))
+        lifts = (y1, -ctx.Q(x1) - y1)  # the two roots of the quadratic for y at x1
+        for y in lifts:
+            embed_point(ctx, x1, y)
+        wrong = [y for y in (y1 + 1, -y1, y1 * x1, x1) if y not in lifts]
+        assert len(wrong) >= 3
+        for y in wrong:
+            with pytest.raises(UsageError, match="not on the curve"):
+                embed_point(ctx, x1, y)

@@ -7,8 +7,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import hyptorsion.poly as poly
-from hyptorsion.errors import InexactDivisionError, UsageError
-from hyptorsion.exactnum import QQ, make_extension, prime_field
+from hyptorsion.errors import InexactDivisionError, TheoremViolation, UsageError
+from hyptorsion.exactnum import QQ, _is_irreducible, make_extension, prime_field
 from hyptorsion.linalg import bareiss_det, berkowitz_det_mod
 from hyptorsion.poly import (
     Poly,
@@ -531,6 +531,111 @@ class TestRoots:
         assert complete and roots == [0, 1]
         roots, complete = rational_roots((2 * x - 1) * (x + 3))
         assert complete and roots == [-3, Fraction(1, 2)]
+
+
+def split_roots_reference(f):
+    """The full Cantor-Zassenhaus split: every root of a squarefree f that
+    splits over its field, one recursion per factor found.  The reference
+    for the orbit route of ``poly._split_roots``."""
+    spec = f.dom
+    f = f.monic()
+    if f.degree <= 0:
+        return []
+    if f.degree == 1:
+        return [spec.neg(f.cs[0])]
+    q = spec.order
+    xpoly = Poly.x(spec)
+    if spec.char != 2:
+        for idx in poly._candidate_order(spec):
+            c = spec.element_from_index(idx)
+            h = poly._powmod(xpoly + Poly.const(spec, c), (q - 1) // 2, f) - Poly.one(spec)
+            g = poly_gcd(f, h)
+            if 0 < g.degree < f.degree:
+                return split_roots_reference(g) + split_roots_reference(exact_div(f, g))
+    else:
+        kbits = q.bit_length() - 1
+        for idx in poly._candidate_order(spec):
+            if idx == 0:
+                continue
+            c = spec.element_from_index(idx)
+            t = (xpoly.scale(c)) % f
+            acc = t
+            for _ in range(kbits - 1):
+                t = (t * t) % f
+                acc = (acc + t) % f
+            g = poly_gcd(f, acc)
+            if 0 < g.degree < f.degree:
+                return split_roots_reference(g) + split_roots_reference(exact_div(f, g))
+    raise AssertionError("splitting candidates exhausted on a split polynomial")
+
+
+def _irreducible_product(p, degrees, rng):
+    """A product of distinct random monic irreducibles over GF(p), one of
+    each given degree for which 60 draws find a new one."""
+    gf = prime_field(p)
+    seen, f = set(), Poly.one(gf)
+    for e in degrees:
+        for _ in range(60):
+            m = tuple(rng.randrange(p) for _ in range(e)) + (1,)
+            if m not in seen and (e == 1 or _is_irreducible(list(m), p)):
+                seen.add(m)
+                f = f * Poly.of_ints(gf, list(m))
+                break
+    return f
+
+
+def _reference_embedding_root(src, dst):
+    roots = split_roots_reference(Poly.of_ints(dst, list(src.modulus)))
+    return min(roots, key=dst.element_index)
+
+
+class TestSplitByOrbit:
+    @pytest.mark.parametrize("p, ds", [(2, (2, 3, 4, 6)), (3, (2, 3, 4)), (5, (2, 3)), (13, (2, 3))])
+    def test_products_of_irreducibles_match_full_split(self, p, ds, rng):
+        for d in ds:
+            big = make_extension(p, d)
+            divisors = [e for e in range(1, d + 1) if d % e == 0]
+            for _ in range(5):
+                degrees = [rng.choice(divisors) for _ in range(rng.randint(1, 5))]
+                f = _irreducible_product(p, degrees, rng)
+                img = f.map_to(big)
+                got = poly._split_roots(img, p)
+                assert len(got) == len(set(got)) == f.degree
+                key = big.element_index
+                assert sorted(got, key=key) == sorted(split_roots_reference(img), key=key)
+
+    @pytest.mark.parametrize("p, k", [(3, 2), (2, 2), (7, 1)])
+    def test_roots_by_degree_matches_full_split(self, p, k, rng, monkeypatch):
+        spec = make_extension(p, k) if k > 1 else prime_field(p)
+        polys = [rand_poly(spec, rng.randint(2, 9), rng) for _ in range(6)]
+        polys = [f for f in polys if f.degree > 0]
+        got = [roots_by_degree(f, f.degree) for f in polys]
+        monkeypatch.setattr(poly, "_split_roots", lambda f, q: split_roots_reference(f))
+        subfield_embedding.cache_clear()
+        try:
+            assert got == [roots_by_degree(f, f.degree) for f in polys]
+        finally:
+            subfield_embedding.cache_clear()
+
+    def test_embeddings_up_to_4096_match_full_split(self):
+        pairs = [(p, k, K) for p in (2, 3, 5, 7, 11, 13) for K in range(2, 13) if p**K <= 4096
+                 for k in range(2, K) if K % k == 0]
+        assert len(pairs) == 17
+        for p, k, K in pairs + [(911, 5, 10)]:
+            src, dst = make_extension(p, k), make_extension(p, K)
+            gen = (0, 1) + (0,) * (k - 2)
+            assert subfield_embedding(src, dst)(gen) == _reference_embedding_root(src, dst), (p, k, K)
+
+    def test_wrong_frobenius_exponent_raises(self):
+        # x -> x^3 does not fix the coefficients of (x - a)(x - b) over GF(9)
+        # when b != a^3, so the conjugate of the first root found is no root
+        gf9 = make_extension(3, 2)
+        a, b = gf9.element_from_index(3), gf9.element_from_index(4)
+        assert gf9.pow(a, 3) != b and gf9.pow(b, 3) != a
+        f = Poly(gf9, [gf9.neg(a), gf9.one()]) * Poly(gf9, [gf9.neg(b), gf9.one()])
+        assert sorted(poly._split_roots(f, 9)) == sorted([a, b])
+        with pytest.raises(TheoremViolation):
+            poly._split_roots(f, 3)
 
 
 class TestDeterminants:
